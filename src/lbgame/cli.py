@@ -27,6 +27,7 @@ from .dynamic import (
 )
 from .experiments import (
     ExperimentReport,
+    _fmt,
     builtin_setting,
     builtin_settings,
     export_trace,
@@ -154,10 +155,6 @@ def _parse_order(value):
     return tuple(int(v) for v in seq)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def cmd_static(args) -> int:
     config = load_config(args.config) if args.config else {}
     seed = _SeedBox(args.seed, config.get("run", {}).get("seed"))
@@ -265,9 +262,7 @@ def cmd_settings(args) -> int:
         return 0
     spec = builtin_setting(args.id)
     seed = _SeedBox(args.seed, None)
-    report = run_experiment(
-        spec, seed=seed.get(), max_steps=args.max_steps, jobs=args.jobs or 1
-    )
+    report = run_experiment(spec, seed=seed.get(), max_steps=args.max_steps)
     if report.static is not None:
         print(
             f"static updates={len(report.static.potentials)} "
@@ -332,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-steps", dest="max_steps", type=int, metavar="N")
     p_run.add_argument("--out", metavar="DIR", help="output directory")
     p_run.add_argument("--format", choices=["csv", "jsonl"])
-    p_run.add_argument("--jobs", type=int, metavar="N", help="run modes concurrently")
     p_settings.set_defaults(func=cmd_settings)
     return parser
 

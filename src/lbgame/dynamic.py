@@ -25,7 +25,7 @@ from .model import (
     instantaneous_cost,
     state_transition,
 )
-from .static import best_response, run_sequential_pass
+from .static import _pass, best_response
 
 ORDER_ROUND_ROBIN = "round-robin"
 ORDER_RANDOM = "random"
@@ -131,26 +131,20 @@ def _arrival_at(run: DynamicRun, rng, t: int) -> int:
     return run.order[t % len(run.order)]
 
 
-def run_sequential(run: DynamicRun) -> DynamicRun:
-    """Play the one-arrival-per-step dynamics until the queues drain.
-
-    Halts at ``max_steps``, or one confirming step after the total load
-    first reaches ``zero_tolerance``. Returns a copy of ``run`` with the
-    trace and ``converged_at`` filled in.
-    """
-    if run.mode != MODE_SEQUENTIAL:
-        raise ValueError("run config mode must be 'sequential'")
-    inst = run.inst
+def _play(run: DynamicRun, mode: str, play_round) -> DynamicRun:
+    # The stepping loop shared by both modes. ``play_round(t, rng, loads)``
+    # returns ``(arrivals, actions, new_loads, costs)`` for step ``t``.
+    if run.mode != mode:
+        raise ValueError(f"run config mode must be {mode!r}")
     rng = np.random.default_rng(run.seed)
-    loads = ServerLoads(inst.initial_loads)
+    loads = ServerLoads(run.inst.initial_loads)
     records: list[StepRecord] = []
     candidate: int | None = None
     for t in range(run.max_steps):
-        i = _arrival_at(run, rng, t)
-        action, new_loads, cost = dynamic_step(inst, loads, i)
+        arrivals, actions, new_loads, costs = play_round(t, rng, loads)
         total = new_loads.total
         records.append(
-            StepRecord(t, (i,), (action,), loads, new_loads, (cost,), total)
+            StepRecord(t, arrivals, actions, loads, new_loads, costs, total)
         )
         loads = new_loads
         if total <= run.zero_tolerance:
@@ -161,6 +155,22 @@ def run_sequential(run: DynamicRun) -> DynamicRun:
         else:
             candidate = None
     return replace(run, trace=tuple(records), converged_at=candidate)
+
+
+def run_sequential(run: DynamicRun) -> DynamicRun:
+    """Play the one-arrival-per-step dynamics until the queues drain.
+
+    Halts at ``max_steps``, or one confirming step after the total load
+    first reaches ``zero_tolerance``. Returns a copy of ``run`` with the
+    trace and ``converged_at`` filled in.
+    """
+
+    def play_round(t, rng, loads):
+        i = _arrival_at(run, rng, t)
+        action, new_loads, cost = dynamic_step(run.inst, loads, i)
+        return (i,), (action,), new_loads, (cost,)
+
+    return _play(run, MODE_SEQUENTIAL, play_round)
 
 
 def run_simultaneous(run: DynamicRun) -> DynamicRun:
@@ -177,36 +187,19 @@ def run_simultaneous(run: DynamicRun) -> DynamicRun:
     draining; the equilibrium round keeps the total backlog shrinking by at
     least the capacity surplus every step.
     """
-    if run.mode != MODE_SIMULTANEOUS:
-        raise ValueError("run config mode must be 'simultaneous'")
     inst = run.inst
-    n = inst.num_players
-    lengths = inst.job_lengths
-    loads = ServerLoads(inst.initial_loads)
-    records: list[StepRecord] = []
-    candidate: int | None = None
-    everyone = tuple(range(n))
-    for t in range(run.max_steps):
-        round_game = Instance(lengths, inst.service_rates, loads.loads)
-        profile, _ = run_sequential_pass(round_game)
-        actions = tuple(profile.row(i) for i in range(n))
-        costs = tuple(
-            instantaneous_cost(inst, actions[i], loads, i) for i in range(n)
-        )
-        new_loads = state_transition(inst, loads, lengths @ profile.matrix)
-        total = new_loads.total
-        records.append(
-            StepRecord(t, everyone, actions, loads, new_loads, costs, total)
-        )
-        loads = new_loads
-        if total <= run.zero_tolerance:
-            if candidate is None:
-                candidate = t
-            else:
-                break
-        else:
-            candidate = None
-    return replace(run, trace=tuple(records), converged_at=candidate)
+    everyone = tuple(range(inst.num_players))
+
+    def play_round(t, rng, loads):
+        matrix = np.full((inst.num_players, inst.num_servers), 1.0 / inst.num_servers)
+        for _ in _pass(inst, loads.loads, matrix, everyone):
+            pass
+        actions = tuple(Action(row) for row in matrix)
+        costs = tuple(instantaneous_cost(inst, actions[i], loads, i) for i in everyone)
+        new_loads = state_transition(inst, loads, inst.job_lengths @ matrix)
+        return everyone, actions, new_loads, costs
+
+    return _play(run, MODE_SIMULTANEOUS, play_round)
 
 
 def full_support_time(inst: Instance) -> int:

@@ -9,7 +9,6 @@ setting parameters, seed, and code version is written alongside each trace.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,13 +236,11 @@ def run_experiment(
     seed: int = 0,
     max_steps: int | None = None,
     modes: tuple[str, ...] | None = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Run the setting's modes and collect the results.
 
     The sequential run draws its arrival order from ``seed``; everything
-    else is deterministic given the instance. ``jobs`` > 1 runs the modes
-    concurrently (they are independent).
+    else is deterministic given the instance.
     """
     if modes is None:
         modes = setting.modes
@@ -263,11 +260,7 @@ def run_experiment(
         cfg = DynamicRun(inst, MODE_SIMULTANEOUS, max_steps=max_steps)
         return run_simultaneous(cfg)
 
-    if jobs > 1 and len(modes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(modes, pool.map(run_mode, modes)))
-    else:
-        results = {mode: run_mode(mode) for mode in modes}
+    results = {mode: run_mode(mode) for mode in modes}
     return ExperimentReport(
         setting_id=setting.id,
         seed=seed,

@@ -52,14 +52,18 @@ def water_fill(total: float, rates, levels):
     if rates.size == 0:
         raise ValueError("need at least one channel")
     order = np.argsort(levels, kind="stable")
+    # Heights above the lowest channel: a total far below the levels would
+    # otherwise cancel against them and lose its low digits.
+    base = levels[order[0]]
+    heights = levels - base
     sorted_rates = rates[order]
-    sorted_levels = levels[order]
+    sorted_heights = heights[order]
     cum_rate = np.cumsum(sorted_rates)
-    cum_load = np.cumsum(sorted_rates * sorted_levels)
+    cum_load = np.cumsum(sorted_rates * sorted_heights)
     m = rates.size
     support = m
     if m > 1:
-        stop = sorted_levels[1:] * cum_rate[:-1] >= total + cum_load[:-1]
+        stop = sorted_heights[1:] * cum_rate[:-1] >= total + cum_load[:-1]
         hits = np.nonzero(stop)[0]
         if hits.size:
             support = int(hits[0]) + 1
@@ -67,8 +71,8 @@ def water_fill(total: float, rates, levels):
     chosen = order[:support]
     amounts = np.zeros(m)
     # Clip float dust: exact arithmetic keeps these strictly positive.
-    amounts[chosen] = np.maximum(rates[chosen] * (level - levels[chosen]), 0.0)
-    return amounts, float(level), support, order
+    amounts[chosen] = np.maximum(rates[chosen] * (level - heights[chosen]), 0.0)
+    return amounts, float(base + level), support, order
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,16 +195,23 @@ def run_sequential_pass(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all player indices")
     matrix = initial.matrix.copy()
+    potentials = [
+        _potential_matrix(inst, matrix)
+        for _ in _pass(inst, inst.initial_loads, matrix, order)
+    ]
+    return ActionProfile(matrix), potentials
+
+
+def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
+    # In-turn updates of ``matrix`` in place against the queued ``loads``;
+    # yields after each one. Only lambda and mu are read from ``inst``.
     lengths = inst.job_lengths
-    potentials = []
     for i in order:
         work = lengths[:, None] * matrix
         work[i] = 0.0
-        effective = inst.initial_loads + work.sum(axis=0)
-        result = best_response(inst, i, effective)
+        result = best_response(inst, i, loads + work.sum(axis=0))
         matrix[i] = result.action.fractions
-        potentials.append(_potential_matrix(inst, matrix))
-    return ActionProfile(matrix), potentials
+        yield
 
 
 class NashCheck(NamedTuple):

@@ -12,7 +12,9 @@ from lbgame import (
     per_arrival_costs,
     run_sequential,
     run_simultaneous,
+    run_sequential_pass,
     running_average_cost,
+    state_transition,
     zero_load_time,
     zero_load_time_alt,
 )
@@ -169,6 +171,37 @@ class TestSimultaneousRuns:
             if record.total_load > 0.0:
                 drop = record.loads_before.total - record.total_load
                 assert drop >= surplus - 1e-9
+
+
+class TestSharedKernels:
+    """Both run modes share one stepping loop; each recorded step must still
+    be the public one-step computation of its mode."""
+
+    @pytest.mark.parametrize("sid", [5, 7])
+    def test_simultaneous_round_is_the_pass_on_observed_loads(self, sid):
+        inst = builtin_setting(sid).instance
+        done = run_simultaneous(DynamicRun(inst, "simultaneous"))
+        for record in done.trace:
+            before = record.loads_before
+            profile, _ = run_sequential_pass(
+                Instance(inst.job_lengths, inst.service_rates, before.loads)
+            )
+            assert len(record.actions) == inst.num_players
+            for row, action in zip(profile.matrix, record.actions):
+                assert np.array_equal(action.fractions, row)
+            contributions = inst.job_lengths @ profile.matrix
+            assert record.loads_after == state_transition(inst, before, contributions)
+
+    @pytest.mark.parametrize("sid", [5, 7])
+    def test_sequential_record_is_dynamic_step(self, sid):
+        inst = builtin_setting(sid).instance
+        done = run_sequential(DynamicRun(inst, "sequential", order="random", seed=sid))
+        for record in done.trace:
+            (i,) = record.arrivals
+            action, after, cost = dynamic_step(inst, record.loads_before, i)
+            assert record.actions == (action,)
+            assert record.loads_after == after
+            assert record.instantaneous_costs == (cost,)
 
 
 class TestBounds:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbgame import (
     ActionProfile,
@@ -108,6 +110,27 @@ class TestBestResponse:
         assert result.support_size == 1
         assert result.water_level == pytest.approx(1.0, abs=1e-15)
         assert np.array_equal(result.action.fractions, [1.0, 0.0])
+
+
+@st.composite
+def job_against_backlog(draw):
+    """One job of length 1e-8..1e2 against up to 50 servers holding up to
+    1e3 steps of work each, so the job can be many orders of magnitude
+    below the queues' normalized levels."""
+    m = draw(st.integers(1, 50))
+    rates = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    steps = draw(st.lists(st.floats(0.0, 1e3), min_size=m, max_size=m))
+    length = draw(st.floats(1e-8, 1e2))
+    return Instance([length], rates), np.array(steps) * np.array(rates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(job_against_backlog())
+def test_best_response_stays_on_simplex(case):
+    inst, loads = case
+    fractions = best_response(inst, 0, loads).action.fractions
+    assert np.all(fractions >= 0.0)
+    assert abs(fractions.sum() - 1.0) <= 1e-12
 
 
 class TestSimplexProjection:
