@@ -264,16 +264,23 @@ def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: in
         raise ValueError("action length does not match the number of servers")
     if loads.loads.size != inst.num_servers:
         raise ValueError("loads length does not match the number of servers")
-    rates = inst.service_rates
-    work = inst.job_lengths[i] * action.fractions
-    return float(np.sum(work * (work / (2.0 * rates) + loads.loads / rates)))
+    return _wait(inst.job_lengths[i] * action.fractions, loads.loads, inst.service_rates)
+
+
+def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> float:
+    # Raw kernel: average wait of ``work`` joining queues that hold ``loads``.
+    return float(np.sum(work * (work / (2.0 * rates) + loads / rates)))
+
+
+def _potential_of(queued: np.ndarray, rates: np.ndarray) -> float:
+    # Raw kernel: the potential of per-server queues holding ``queued``.
+    return float(np.sum(queued * queued / (2.0 * rates)))
 
 
 def _potential_matrix(inst: Instance, matrix: np.ndarray) -> float:
     # Raw-matrix kernel; also used by finite-difference checks that step
     # slightly off the simplex.
-    queued = inst.initial_loads + inst.job_lengths @ matrix
-    return float(np.sum(queued * queued / (2.0 * inst.service_rates)))
+    return _potential_of(inst.initial_loads + inst.job_lengths @ matrix, inst.service_rates)
 
 
 def potential(inst: Instance, profile: ActionProfile) -> float:

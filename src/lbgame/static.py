@@ -21,8 +21,8 @@ from .model import (
     ServerLoads,
     _check_player,
     _check_profile,
-    _potential_matrix,
-    instantaneous_cost,
+    _potential_of,
+    _wait,
     player_costs,
     social_cost,
 )
@@ -115,15 +115,22 @@ def best_response(inst: Instance, i: int, effective_loads) -> BestResponseResult
     """
     _check_player(inst, i)
     eff = _effective_loads(effective_loads, inst.num_servers)
-    length = float(inst.job_lengths[i])
-    levels = eff / inst.service_rates
-    amounts, level, support, order = water_fill(length, inst.service_rates, levels)
+    fractions, level, support, order = _respond(
+        float(inst.job_lengths[i]), inst.service_rates, eff
+    )
     return BestResponseResult(
-        action=Action(amounts / length),
+        action=Action(fractions),
         support_size=support,
         water_level=level,
         server_order=order,
     )
+
+
+def _respond(length: float, rates: np.ndarray, loads: np.ndarray):
+    # Raw best-response kernel: no validation, no objects. ``loads`` must be
+    # finite and nonnegative. Returns ``(fractions, level, support, order)``.
+    amounts, level, support, order = water_fill(length, rates, loads / rates)
+    return amounts / length, level, support, order
 
 
 def project_to_simplex(v) -> np.ndarray:
@@ -184,6 +191,14 @@ def run_sequential_pass(
 
     Returns ``(profile, potentials)`` with the potential value recorded
     after each update; the sequence never increases.
+
+    Costs O(n·m log m): one water-fill per update. The pass keeps running
+    per-server totals of the players' work and applies each update to them
+    as a delta, so each potential costs O(m). Drift guard: at the end, the
+    totals are summed afresh from the final profile, and a gap above 1e-9
+    of the largest total raises ``RuntimeError``. A potential that is not
+    finite, because the instance's magnitudes overflow float64, raises
+    ``ValueError``.
     """
     n, m = inst.num_players, inst.num_servers
     if initial is None:
@@ -195,23 +210,39 @@ def run_sequential_pass(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all player indices")
     matrix = initial.matrix.copy()
+    loads, rates = inst.initial_loads, inst.service_rates
     potentials = [
-        _potential_matrix(inst, matrix)
-        for _ in _pass(inst, inst.initial_loads, matrix, order)
+        _potential_of(loads + totals, rates)
+        for totals in _pass(inst, loads, matrix, order)
     ]
+    if not np.all(np.isfinite(potentials)):
+        raise ValueError(
+            "potential is not finite: the instance's magnitudes overflow float64"
+        )
     return ActionProfile(matrix), potentials
 
 
 def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
-    # In-turn updates of ``matrix`` in place against the queued ``loads``;
-    # yields after each one. Only lambda and mu are read from ``inst``.
-    lengths = inst.job_lengths
+    # In-turn updates of ``matrix`` in place against the queued ``loads``.
+    # Keeps the running per-server totals of the players' work and yields
+    # them after each update; checks them for drift at the end. Only lambda
+    # and mu are read from ``inst``.
+    lengths, rates = inst.job_lengths, inst.service_rates
+    totals = lengths @ matrix
     for i in order:
-        work = lengths[:, None] * matrix
-        work[i] = 0.0
-        result = best_response(inst, i, loads + work.sum(axis=0))
-        matrix[i] = result.action.fractions
-        yield
+        length, row = lengths[i], matrix[i]
+        mine = length * row
+        # Cancellation in ``totals - mine`` can leave -1e-16 where the other
+        # players hold nothing; the water-fill needs nonnegative loads.
+        effective = np.maximum(loads + (totals - mine), 0.0)
+        fractions = _respond(length, rates, effective)[0]
+        totals += length * fractions - mine
+        row[:] = fractions
+        yield totals
+    fresh = lengths @ matrix
+    drift = float(np.max(np.abs(totals - fresh)))
+    if not drift <= 1e-9 * float(np.max(fresh)):
+        raise RuntimeError(f"running server totals drifted by {drift:.3e} over the pass")
 
 
 class NashCheck(NamedTuple):
@@ -221,21 +252,33 @@ class NashCheck(NamedTuple):
 
 def is_nash(inst: Instance, profile: ActionProfile, epsilon: float = 1e-8) -> NashCheck:
     """Whether no player can cut its cost by more than ``epsilon`` by moving
-    alone. Also reports the largest improvement any player could make."""
+    alone. Also reports the largest improvement any player could make.
+
+    Costs O(n·m log m): one water-fill per player, against the queues the
+    other players leave. A cost that is not finite, because the instance's
+    magnitudes overflow float64, raises ``ValueError``.
+    """
     _check_profile(inst, profile)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if inst.num_players == 0:
+    n = inst.num_players
+    if n == 0:
         return NashCheck(True, 0.0)
+    lengths, rates = inst.job_lengths, inst.service_rates
     costs = player_costs(inst, profile)
-    work = inst.job_lengths[:, None] * profile.matrix
+    work = lengths[:, None] * profile.matrix
     queued = inst.initial_loads + work.sum(axis=0)
-    worst = 0.0
-    for i in range(inst.num_players):
+    reachable = np.empty(n)
+    for i in range(n):
         effective = np.maximum(queued - work[i], 0.0)
-        result = best_response(inst, i, effective)
-        reachable = instantaneous_cost(inst, result.action, ServerLoads(effective), i)
-        worst = max(worst, float(costs[i]) - reachable)
+        fractions = _respond(lengths[i], rates, effective)[0]
+        reachable[i] = _wait(lengths[i] * fractions, effective, rates)
+    improvements = costs - reachable
+    if not np.all(np.isfinite(improvements)):
+        raise ValueError(
+            "player cost is not finite: the instance's magnitudes overflow float64"
+        )
+    worst = max(0.0, float(improvements.max()))
     return NashCheck(worst <= epsilon, worst)
 
 
@@ -281,4 +324,10 @@ def empirical_poa(inst: Instance, ne_profile: ActionProfile, epsilon: float = 1e
             "profile fails the equilibrium check: a unilateral move improves "
             f"some cost by {check.max_improvement:.3e}"
         )
-    return social_cost(inst, ne_profile) / opt_lower_bound(inst)
+    cost, optimum = social_cost(inst, ne_profile), opt_lower_bound(inst)
+    if not (np.isfinite(cost) and np.isfinite(optimum)):
+        raise ValueError(
+            f"social cost {cost!r} or optimum bound {optimum!r} is not finite: "
+            "the instance's magnitudes overflow float64"
+        )
+    return cost / optimum

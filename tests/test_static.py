@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbgame import (
+    Action,
     ActionProfile,
     Instance,
     ServerLoads,
@@ -19,9 +22,12 @@ from lbgame import (
     potential,
     project_to_simplex,
     run_sequential_pass,
+    setting_instance,
     social_cost,
     water_fill,
 )
+from lbgame.model import _potential_matrix
+from lbgame.static import _pass
 
 from conftest import random_instance, random_profile
 
@@ -234,6 +240,125 @@ class TestSequentialPass:
         inst = Instance([1.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             run_sequential_pass(inst, order=[0, 0])
+
+
+def reference_pass(inst, initial, order):
+    """The from-scratch pass: rebuilds every other player's work before each
+    update and sums the potential afresh after it, O(n²·m) in all. The
+    oracle for the incremental pass."""
+    matrix = initial.matrix.copy()
+    lengths, loads = inst.job_lengths, inst.initial_loads
+    potentials = []
+    for i in order:
+        work = lengths[:, None] * matrix
+        work[i] = 0.0
+        matrix[i] = best_response(inst, i, loads + work.sum(axis=0)).action.fractions
+        potentials.append(_potential_matrix(inst, matrix))
+    return matrix, potentials
+
+
+@st.composite
+def pass_case(draw):
+    """Up to 12 players with jobs of 1e-8..1e2 over up to 12 servers holding
+    up to 1e3 steps of work each, a strictly positive start and a random
+    order."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    rates = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    steps = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=m, max_size=m)))
+    lengths = draw(st.lists(st.floats(1e-8, 1e2), min_size=n, max_size=n))
+    weights = np.array(
+        draw(
+            st.lists(
+                st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    start = ActionProfile(weights / weights.sum(axis=1, keepdims=True))
+    return Instance(lengths, rates, steps * rates), start, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pass_case())
+def test_incremental_pass_matches_reference(case):
+    # A job's split moves by (rounding in the queues it sees) / (its length):
+    # a 2e-3 job next to a 6.0 one over a backlog of 10 already differs by
+    # 1.2e-12 between two summation orders of the same sums. So the 1e-12
+    # bound is on fractions for jobs at least as large as the largest
+    # queue, and on work relative to that queue otherwise.
+    inst, start, order = case
+    profile, potentials = run_sequential_pass(inst, initial=start, order=order)
+    matrix, expected = reference_pass(inst, start, order)
+    largest_queue = inst.initial_loads.max() + inst.total_job_length
+    tolerance = 1e-12 * np.maximum(1.0, largest_queue / inst.job_lengths)
+    assert np.all(np.abs(profile.matrix - matrix) <= tolerance[:, None])
+    assert np.allclose(potentials, expected, rtol=1e-12, atol=0.0)
+
+
+class TestRawKernels:
+    """The pass and the Nash check run on raw arrays: no per-player value
+    objects, and running server totals that match a fresh sum."""
+
+    def test_pass_and_nash_check_build_no_per_player_objects(self, monkeypatch):
+        inst = setting_instance(builtin_setting(2), 0)
+        assert (inst.num_players, inst.num_servers) == (500, 200)
+        built = Counter()
+        for cls in (Action, ServerLoads, Instance):
+            def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+                built[_name] += 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        profile, _ = run_sequential_pass(inst)
+        assert is_nash(inst, profile).is_equilibrium
+        for name in ("Action", "ServerLoads", "Instance"):
+            assert built[name] <= 2, (name, built[name])
+
+    def test_running_totals_do_not_drift(self):
+        inst = setting_instance(builtin_setting(2), 0)
+        matrix = ActionProfile.uniform(inst.num_players, inst.num_servers).matrix.copy()
+        for totals in _pass(inst, inst.initial_loads, matrix, range(inst.num_players)):
+            pass
+        fresh = inst.job_lengths @ matrix
+        assert np.max(np.abs(totals - fresh)) <= 1e-12 * fresh.max()
+
+    def test_drift_guard_raises(self):
+        inst = Instance([1.0, 2.0], [1.5, 2.5], [2.0, 4.0])
+        matrix = ActionProfile.uniform(2, 2).matrix.copy()
+        with pytest.raises(RuntimeError, match="drifted"):
+            for totals in _pass(inst, inst.initial_loads, matrix, [0, 1]):
+                totals[0] += 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteFailsLoudly:
+    """Scaled by 1e160, the 2x2 instance's potential and optimum overflow
+    float64; with work scaled but rates not, so do the players' costs. Each
+    must raise, not turn into an equilibrium verdict or a ratio of 0."""
+
+    base = Instance([0.5, 0.3], [1.0, 0.7], [10.0, 3.0])
+    scaled = Instance([0.5e160, 0.3e160], [1e160, 0.7e160], [10e160, 3e160])
+    heavy = Instance([0.5e160, 0.3e160], [1.0, 0.7], [10e160, 3e160])
+
+    @pytest.mark.parametrize("inst", [scaled, heavy], ids=["scaled", "heavy"])
+    def test_pass_refuses_overflowing_potential(self, inst):
+        with pytest.raises(ValueError, match="potential is not finite"):
+            run_sequential_pass(inst)
+
+    def test_nash_check_refuses_overflowing_cost(self):
+        profile, _ = run_sequential_pass(self.base)
+        with pytest.raises(ValueError, match="cost is not finite"):
+            is_nash(self.heavy, profile)
+
+    def test_empirical_poa_refuses_overflowing_optimum(self):
+        # The equilibrium is scale-free: the base instance's profile is one
+        # for the scaled instance, and the check itself stays finite there.
+        profile, _ = run_sequential_pass(self.base)
+        assert is_nash(self.scaled, profile).is_equilibrium
+        with pytest.raises(ValueError, match="not finite"):
+            empirical_poa(self.scaled, profile)
 
 
 class TestIsNash:
