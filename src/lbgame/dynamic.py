@@ -16,16 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    Action,
-    InfeasibleError,
-    Instance,
-    ServerLoads,
-    _check_player,
-    instantaneous_cost,
-    state_transition,
-)
-from .static import _pass, best_response
+from .model import Action, InfeasibleError, Instance, ServerLoads, _check_player, _wait
+from .static import _effective_loads, _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
 ORDER_RANDOM = "random"
@@ -117,10 +109,33 @@ class DynamicRun:
 def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
     """Player ``i`` arrives, best-responds to the observed queues, and the
     queues drain one step. Returns ``(action, new_loads, cost)``."""
-    result = best_response(inst, i, loads)
-    cost = instantaneous_cost(inst, result.action, loads, i)
-    contributions = inst.job_lengths[i] * result.action.fractions
-    return result.action, state_transition(inst, loads, contributions), cost
+    _check_player(inst, i)
+    eff = _effective_loads(loads.loads, inst.num_servers)
+    matrix, after, (cost,) = _round(inst, eff, (i,))
+    return Action(matrix[0]), ServerLoads(after), cost
+
+
+def _round(inst: Instance, loads: np.ndarray, arrivals: tuple[int, ...]):
+    # Raw kernel of one step in either mode: the ``arrivals`` settle on
+    # best responses to the observed ``loads``, each pays its wait against
+    # them, and the queues drain. Returns ``(matrix, after, costs)`` with one
+    # row and one cost per arrival. A lone arrival plays its best response
+    # directly: a pass over it alone lands on the same row at extra cost.
+    # Several arrivals must be every player, settled by one update pass.
+    lengths, rates = inst.job_lengths, inst.service_rates
+    if len(arrivals) == 1:
+        (i,) = arrivals
+        matrix = _respond(float(lengths[i]), rates, loads)[0][None, :]
+        work = lengths[i] * matrix
+        incoming = work[0]
+    else:
+        matrix = np.full((len(arrivals), inst.num_servers), 1.0 / inst.num_servers)
+        for _ in _pass(inst, loads, matrix, arrivals):
+            pass
+        work = lengths[:, None] * matrix
+        incoming = lengths @ matrix
+    costs = tuple(_wait(row, loads, rates) for row in work)
+    return matrix, np.maximum(loads + incoming - rates, 0.0), costs
 
 
 def _arrival_at(run: DynamicRun, rng, t: int) -> int:
@@ -131,21 +146,23 @@ def _arrival_at(run: DynamicRun, rng, t: int) -> int:
     return run.order[t % len(run.order)]
 
 
-def _play(run: DynamicRun, mode: str, play_round) -> DynamicRun:
-    # The stepping loop shared by both modes. ``play_round(t, rng, loads)``
-    # returns ``(arrivals, actions, new_loads, costs)`` for step ``t``.
+def _play(run: DynamicRun, mode: str) -> DynamicRun:
+    # The stepping loop shared by both modes: picks each step's arrivals,
+    # plays the raw ``_round`` and wraps its arrays in a validated record.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
+    everyone = tuple(range(run.inst.num_players))
     rng = np.random.default_rng(run.seed)
     loads = ServerLoads(run.inst.initial_loads)
     records: list[StepRecord] = []
     candidate: int | None = None
     for t in range(run.max_steps):
-        arrivals, actions, new_loads, costs = play_round(t, rng, loads)
+        arrivals = (_arrival_at(run, rng, t),) if mode == MODE_SEQUENTIAL else everyone
+        matrix, after, costs = _round(run.inst, loads.loads, arrivals)
+        actions = tuple(Action(row) for row in matrix)
+        new_loads = ServerLoads(after)
         total = new_loads.total
-        records.append(
-            StepRecord(t, arrivals, actions, loads, new_loads, costs, total)
-        )
+        records.append(StepRecord(t, arrivals, actions, loads, new_loads, costs, total))
         loads = new_loads
         if total <= run.zero_tolerance:
             if candidate is None:
@@ -164,13 +181,7 @@ def run_sequential(run: DynamicRun) -> DynamicRun:
     first reaches ``zero_tolerance``. Returns a copy of ``run`` with the
     trace and ``converged_at`` filled in.
     """
-
-    def play_round(t, rng, loads):
-        i = _arrival_at(run, rng, t)
-        action, new_loads, cost = dynamic_step(run.inst, loads, i)
-        return (i,), (action,), new_loads, (cost,)
-
-    return _play(run, MODE_SEQUENTIAL, play_round)
+    return _play(run, MODE_SEQUENTIAL)
 
 
 def run_simultaneous(run: DynamicRun) -> DynamicRun:
@@ -187,19 +198,7 @@ def run_simultaneous(run: DynamicRun) -> DynamicRun:
     draining; the equilibrium round keeps the total backlog shrinking by at
     least the capacity surplus every step.
     """
-    inst = run.inst
-    everyone = tuple(range(inst.num_players))
-
-    def play_round(t, rng, loads):
-        matrix = np.full((inst.num_players, inst.num_servers), 1.0 / inst.num_servers)
-        for _ in _pass(inst, loads.loads, matrix, everyone):
-            pass
-        actions = tuple(Action(row) for row in matrix)
-        costs = tuple(instantaneous_cost(inst, actions[i], loads, i) for i in everyone)
-        new_loads = state_transition(inst, loads, inst.job_lengths @ matrix)
-        return everyone, actions, new_loads, costs
-
-    return _play(run, MODE_SIMULTANEOUS, play_round)
+    return _play(run, MODE_SIMULTANEOUS)
 
 
 def full_support_time(inst: Instance) -> int:

@@ -147,7 +147,7 @@ def builtin_setting(setting_id: int) -> SettingSpec:
 
 
 def builtin_settings() -> tuple[SettingSpec, ...]:
-    return tuple(_catalog()[k] for k in sorted(_catalog()))
+    return tuple(spec for _, spec in sorted(_catalog().items()))
 
 
 def generate_instance(

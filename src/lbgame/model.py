@@ -237,18 +237,29 @@ def _check_player(inst: Instance, i: int) -> None:
         raise IndexError(f"player index {i} out of range for {inst.num_players} players")
 
 
+def _finite(value, what: str):
+    # Float64 overflow must fail loudly, never pass as a plausible number.
+    if not np.all(np.isfinite(value)):
+        raise ValueError(
+            f"{what} is not finite: the instance's magnitudes overflow float64"
+        )
+    return value
+
+
 def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     """Every player's average wait time under the full profile.
 
     For each server, a player's share waits behind the initial load plus all
-    other players' work there, and behind half of its own share.
+    other players' work there, and behind half of its own share. A cost
+    that overflows float64 raises ``ValueError``.
     """
     _check_profile(inst, profile)
     rates = inst.service_rates
     work = inst.job_lengths[:, None] * profile.matrix
     queued = inst.initial_loads + work.sum(axis=0)
     ahead = queued[None, :] - work
-    return np.sum(work * (work / (2.0 * rates) + ahead / rates), axis=1)
+    costs = np.sum(work * (work / (2.0 * rates) + ahead / rates), axis=1)
+    return _finite(costs, "player cost")
 
 
 def player_cost(inst: Instance, profile: ActionProfile, i: int) -> float:
@@ -287,7 +298,7 @@ def potential(inst: Instance, profile: ActionProfile) -> float:
     """Scalar whose change under any single player's move equals that
     player's cost change. Nonnegative; minimized at fully balanced queues."""
     _check_profile(inst, profile)
-    return _potential_matrix(inst, profile.matrix)
+    return _finite(_potential_matrix(inst, profile.matrix), "potential")
 
 
 def _player_cost_matrix(inst: Instance, matrix: np.ndarray, i: int) -> float:
@@ -323,4 +334,4 @@ def normalized_loads(inst: Instance, profile: ActionProfile) -> np.ndarray:
 
 def social_cost(inst: Instance, profile: ActionProfile) -> float:
     """Sum of all players' average wait times."""
-    return float(player_costs(inst, profile).sum())
+    return _finite(float(player_costs(inst, profile).sum()), "social cost")

@@ -21,6 +21,7 @@ from .model import (
     ServerLoads,
     _check_player,
     _check_profile,
+    _finite,
     _potential_of,
     _wait,
     player_costs,
@@ -215,11 +216,7 @@ def run_sequential_pass(
         _potential_of(loads + totals, rates)
         for totals in _pass(inst, loads, matrix, order)
     ]
-    if not np.all(np.isfinite(potentials)):
-        raise ValueError(
-            "potential is not finite: the instance's magnitudes overflow float64"
-        )
-    return ActionProfile(matrix), potentials
+    return ActionProfile(matrix), _finite(potentials, "potential")
 
 
 def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
@@ -273,11 +270,7 @@ def is_nash(inst: Instance, profile: ActionProfile, epsilon: float = 1e-8) -> Na
         effective = np.maximum(queued - work[i], 0.0)
         fractions = _respond(lengths[i], rates, effective)[0]
         reachable[i] = _wait(lengths[i] * fractions, effective, rates)
-    improvements = costs - reachable
-    if not np.all(np.isfinite(improvements)):
-        raise ValueError(
-            "player cost is not finite: the instance's magnitudes overflow float64"
-        )
+    improvements = _finite(costs - reachable, "player cost")
     worst = max(0.0, float(improvements.max()))
     return NashCheck(worst <= epsilon, worst)
 
@@ -301,7 +294,7 @@ def opt_lower_bound(inst: Instance) -> float:
     Relaxes per-player splits to aggregate per-server work and minimizes the
     resulting convex cost in closed form, by the same water-filling rule the
     best response uses (here pouring the combined job mass over the initial
-    backlog levels).
+    backlog levels). A bound that overflows float64 raises ``ValueError``.
     """
     if inst.num_players < 1:
         raise ValueError("needs at least one player")
@@ -309,7 +302,8 @@ def opt_lower_bound(inst: Instance) -> float:
     amounts, _, _, _ = water_fill(
         inst.total_job_length, rates, inst.initial_loads / rates
     )
-    return float(np.sum((amounts**2 / 2.0 + inst.initial_loads * amounts) / rates))
+    bound = float(np.sum((amounts**2 / 2.0 + inst.initial_loads * amounts) / rates))
+    return _finite(bound, "optimum bound")
 
 
 def empirical_poa(inst: Instance, ne_profile: ActionProfile, epsilon: float = 1e-8) -> float:
@@ -324,10 +318,4 @@ def empirical_poa(inst: Instance, ne_profile: ActionProfile, epsilon: float = 1e
             "profile fails the equilibrium check: a unilateral move improves "
             f"some cost by {check.max_improvement:.3e}"
         )
-    cost, optimum = social_cost(inst, ne_profile), opt_lower_bound(inst)
-    if not (np.isfinite(cost) and np.isfinite(optimum)):
-        raise ValueError(
-            f"social cost {cost!r} or optimum bound {optimum!r} is not finite: "
-            "the instance's magnitudes overflow float64"
-        )
-    return cost / optimum
+    return social_cost(inst, ne_profile) / opt_lower_bound(inst)

@@ -6,9 +6,11 @@ from lbgame import (
     InfeasibleError,
     Instance,
     ServerLoads,
+    best_response,
     builtin_setting,
     dynamic_step,
     full_support_time,
+    instantaneous_cost,
     per_arrival_costs,
     run_sequential,
     run_simultaneous,
@@ -18,11 +20,24 @@ from lbgame import (
     zero_load_time,
     zero_load_time_alt,
 )
+from lbgame import dynamic, model, static
 from lbgame.dynamic import StepRecord
+
+from conftest import random_instance
 
 
 def positive_support(action):
     return frozenset(np.nonzero(action.fractions > 0)[0])
+
+
+def chained_step(inst, loads, i):
+    """One sequential step by the validated public chain, independent of the
+    engine's raw kernel: best response, its cost against the observed
+    queues, then the drain."""
+    action = best_response(inst, i, loads).action
+    cost = instantaneous_cost(inst, action, loads, i)
+    after = state_transition(inst, loads, inst.job_lengths[i] * action.fractions)
+    return action, after, cost
 
 
 class TestDynamicStep:
@@ -202,6 +217,46 @@ class TestSharedKernels:
             assert record.actions == (action,)
             assert record.loads_after == after
             assert record.instantaneous_costs == (cost,)
+
+    @pytest.mark.parametrize("sid", [1, 5, 7])
+    @pytest.mark.parametrize(
+        "order", ["random", "round-robin", (3, 1, 0, 2, 2)], ids=["random", "rr", "explicit"]
+    )
+    def test_sequential_record_is_the_public_chain(self, sid, order):
+        inst = builtin_setting(sid).instance
+        done = run_sequential(DynamicRun(inst, "sequential", order=order, seed=sid))
+        for record in done.trace:
+            (i,) = record.arrivals
+            action, after, cost = chained_step(inst, record.loads_before, i)
+            assert record.actions == (action,)
+            assert record.loads_after == after
+            assert record.instantaneous_costs == (cost,)
+
+    def test_dynamic_step_is_the_public_chain_on_random_loads(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            inst = random_instance(rng)
+            raw = rng.uniform(0.0, 5.0, inst.num_servers)
+            raw[rng.random(inst.num_servers) < 0.3] = 0.0
+            loads = ServerLoads(raw)
+            i = int(rng.integers(inst.num_players))
+            action, after, cost = dynamic_step(inst, loads, i)
+            want_action, want_after, want_cost = chained_step(inst, loads, i)
+            assert action == want_action
+            assert after == want_after
+            assert cost == want_cost
+
+    @pytest.mark.parametrize("sid", [5, 7])
+    def test_runs_reach_no_public_step_function(self, sid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stepping loop called a validated public function")
+
+        for module in (dynamic, model, static):
+            for name in ("best_response", "instantaneous_cost", "state_transition", "dynamic_step"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        inst = builtin_setting(sid).instance
+        assert run_sequential(DynamicRun(inst, "sequential", seed=sid)).converged_at is not None
+        assert run_simultaneous(DynamicRun(inst, "simultaneous")).converged_at is not None
 
 
 class TestBounds:

@@ -23,6 +23,7 @@ from lbgame import (
     write_trace_csv,
     write_trace_jsonl,
 )
+from lbgame import experiments
 from lbgame.experiments import ExperimentReport
 from lbgame.model import Action
 
@@ -67,6 +68,18 @@ class TestCatalog:
     def test_catalog_has_seven_entries(self):
         settings = builtin_settings()
         assert [s.id for s in settings] == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_catalog_is_built_once_per_listing(self, monkeypatch):
+        build = experiments._catalog
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(experiments, "_catalog", counted)
+        assert len(builtin_settings()) == 7
+        assert len(calls) == 1
 
     def test_unknown_setting(self):
         with pytest.raises(ValueError, match="unknown setting"):

@@ -18,6 +18,8 @@ from lbgame import (
     is_nash,
     normalized_loads,
     opt_lower_bound,
+    player_cost,
+    player_costs,
     poa_upper_bound,
     potential,
     project_to_simplex,
@@ -359,6 +361,22 @@ class TestNonFiniteFailsLoudly:
         assert is_nash(self.scaled, profile).is_equilibrium
         with pytest.raises(ValueError, match="not finite"):
             empirical_poa(self.scaled, profile)
+
+    @pytest.mark.parametrize(
+        "measure, inst, match",
+        [
+            (potential, scaled, "potential is not finite"),
+            (lambda inst, _: opt_lower_bound(inst), scaled, "bound is not finite"),
+            (player_costs, heavy, "cost is not finite"),
+            (lambda inst, profile: player_cost(inst, profile, 0), heavy, "cost is not finite"),
+            (social_cost, heavy, "cost is not finite"),
+        ],
+        ids=["potential", "opt_lower_bound", "player_costs", "player_cost", "social_cost"],
+    )
+    def test_measures_refuse_overflow(self, measure, inst, match):
+        profile, _ = run_sequential_pass(self.base)
+        with pytest.raises(ValueError, match=match):
+            measure(inst, profile)
 
 
 class TestIsNash:
