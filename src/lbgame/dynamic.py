@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Action, InfeasibleError, Instance, ServerLoads, _check_player, _wait
+from .model import Action, ActionProfile, InfeasibleError, Instance, ServerLoads
+from .model import _check_player, _finite, _wait
 from .static import _effective_loads, _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
@@ -25,11 +26,14 @@ ORDER_RANDOM = "random"
 MODE_SEQUENTIAL = "sequential"
 MODE_SIMULTANEOUS = "simultaneous"
 
+# Largest trace a run may hold, counted in values over all columns.
+_MAX_TRACE_VALUES = 2**26
+
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What happened in one step: who arrived, what they played, and the
-    queue loads on both sides of the drain."""
+    """One step of a :class:`Trace`, built on demand: who arrived, what they
+    played, and the queue loads on both sides of the drain."""
 
     t: int
     arrivals: tuple[int, ...]
@@ -41,6 +45,49 @@ class StepRecord:
 
 
 @dataclass(frozen=True, eq=False)
+class Trace:
+    """A run's history as columns over T steps of k arrivals on m servers:
+    ``arrivals`` and ``costs`` (T, k), ``fractions`` (T, k, m), and ``loads``
+    (T+1, m), the start state then the state after each drain. The run is
+    checked once; indexing builds :class:`StepRecord` views on demand."""
+
+    arrivals: np.ndarray
+    fractions: np.ndarray
+    loads: np.ndarray
+    costs: np.ndarray
+
+    def __post_init__(self):
+        fractions, loads = np.asarray(self.fractions, float), np.asarray(self.loads, float)
+        steps, k, m = fractions.shape
+        arrivals, costs = np.array(self.arrivals, int), np.array(self.costs, float)
+        _finite(costs, "trace cost")
+        if (arrivals.shape, costs.shape, loads.shape) != ((steps, k), (steps, k), (steps + 1, m)):
+            raise ValueError("trace columns disagree on the steps, arrivals or servers")
+        arrivals.flags.writeable = costs.flags.writeable = False
+        fractions = ActionProfile(fractions.reshape(-1, m)).matrix.reshape(fractions.shape)
+        loads = ServerLoads(loads.ravel()).loads.reshape(loads.shape)
+        for name, column in zip(vars(self), (arrivals, fractions, loads, costs)):
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self[t] for t in range(len(self))[key])
+        t = range(len(self))[key]
+        before, after = (ServerLoads(row) for row in self.loads[t : t + 2])
+        actions = tuple(Action(row) for row in self.fractions[t])
+        arrivals, costs = tuple(self.arrivals[t].tolist()), tuple(self.costs[t].tolist())
+        return StepRecord(t, arrivals, actions, before, after, costs, after.total)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+
+@dataclass(frozen=True, eq=False)
 class DynamicRun:
     """Configuration plus (once run) the trace of a stepped game.
 
@@ -49,9 +96,11 @@ class DynamicRun:
                     explicit sequence of player indices, cycled if shorter
                     than the horizon
     max_steps       horizon cap; defaults to 10x the analytic zero-load
-                    bound so a run always terminates
+                    bound so a run always terminates. A horizon whose trace
+                    could exceed 2**26 values is refused
     zero_tolerance  total load at or below this counts as drained; the
                     drain clamp produces exact zeros, so 0.0 is the default
+    trace           the run's :class:`Trace`; holds no steps until run
     converged_at    first recorded step after which the total load stayed
                     at or below ``zero_tolerance``
     """
@@ -62,7 +111,7 @@ class DynamicRun:
     max_steps: int | None = None
     seed: int = 0
     zero_tolerance: float = 0.0
-    trace: tuple[StepRecord, ...] = ()
+    trace: Trace | None = None
     converged_at: int | None = None
 
     def __post_init__(self):
@@ -104,6 +153,17 @@ class DynamicRun:
                 raise ValueError("max_steps must be a positive integer") from None
         if self.max_steps < 1:
             raise ValueError("max_steps must be a positive integer")
+        k, m = (1 if self.mode == MODE_SEQUENTIAL else inst.num_players), inst.num_servers
+        values = self.max_steps * (k * m + m + 2 * k)
+        if values > _MAX_TRACE_VALUES:
+            raise ValueError(
+                f"horizon of {self.max_steps} steps could hold {values} trace values, "
+                f"over the limit of {_MAX_TRACE_VALUES}; pass a smaller max_steps"
+            )
+        if self.trace is None:
+            empty = np.zeros((0, k))
+            trace = Trace(empty, np.zeros((0, k, m)), inst.initial_loads[None], empty)
+            object.__setattr__(self, "trace", trace)
 
 
 def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
@@ -148,22 +208,21 @@ def _arrival_at(run: DynamicRun, rng, t: int) -> int:
 
 def _play(run: DynamicRun, mode: str) -> DynamicRun:
     # The stepping loop shared by both modes: picks each step's arrivals,
-    # plays the raw ``_round`` and wraps its arrays in a validated record.
+    # plays the raw ``_round`` and appends its arrays to the columns, which
+    # one ``Trace`` checks at the end.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
     everyone = tuple(range(run.inst.num_players))
     rng = np.random.default_rng(run.seed)
-    loads = ServerLoads(run.inst.initial_loads)
-    records: list[StepRecord] = []
+    loads = run.inst.initial_loads
+    columns: tuple[list, ...] = ([], [], [loads], [])
     candidate: int | None = None
     for t in range(run.max_steps):
         arrivals = (_arrival_at(run, rng, t),) if mode == MODE_SEQUENTIAL else everyone
-        matrix, after, costs = _round(run.inst, loads.loads, arrivals)
-        actions = tuple(Action(row) for row in matrix)
-        new_loads = ServerLoads(after)
-        total = new_loads.total
-        records.append(StepRecord(t, arrivals, actions, loads, new_loads, costs, total))
-        loads = new_loads
+        matrix, loads, costs = _round(run.inst, loads, arrivals)
+        for column, value in zip(columns, (arrivals, matrix, loads, costs)):
+            column.append(value)
+        total = float(loads.sum())
         if total <= run.zero_tolerance:
             if candidate is None:
                 candidate = t
@@ -171,7 +230,8 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
                 break
         else:
             candidate = None
-    return replace(run, trace=tuple(records), converged_at=candidate)
+    columns = tuple(map(np.asarray, columns))  # frees the step lists before the check copies
+    return replace(run, trace=Trace(*columns), converged_at=candidate)
 
 
 def run_sequential(run: DynamicRun) -> DynamicRun:
@@ -262,22 +322,11 @@ def running_average_cost(run: DynamicRun, i: int) -> np.ndarray:
     often the player arrives.
     """
     _check_player(run.inst, i)
-    if not run.trace:
-        return np.array([])
-    costs = np.zeros(len(run.trace))
-    for idx, record in enumerate(run.trace):
-        if i in record.arrivals:
-            costs[idx] = record.instantaneous_costs[record.arrivals.index(i)]
+    costs = np.where(run.trace.arrivals == i, run.trace.costs, 0.0).sum(axis=1)
     return np.cumsum(costs) / np.arange(1, costs.size + 1)
 
 
 def per_arrival_costs(run: DynamicRun, i: int) -> np.ndarray:
     """The costs player ``i`` actually paid, one entry per arrival."""
     _check_player(run.inst, i)
-    return np.array(
-        [
-            record.instantaneous_costs[record.arrivals.index(i)]
-            for record in run.trace
-            if i in record.arrivals
-        ]
-    )
+    return run.trace.costs[run.trace.arrivals == i]

@@ -19,11 +19,11 @@ from .dynamic import (
     MODE_SEQUENTIAL,
     MODE_SIMULTANEOUS,
     DynamicRun,
-    StepRecord,
+    Trace,
     run_sequential,
     run_simultaneous,
 )
-from .model import Action, ActionProfile, Instance, ServerLoads
+from .model import ActionProfile, Instance
 from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"
@@ -273,15 +273,12 @@ def run_experiment(
 
 def average_load_series(run: DynamicRun) -> np.ndarray:
     """Mean queue load per step, after each step's drain."""
-    return np.array([record.loads_after.loads.mean() for record in run.trace])
+    return run.trace.loads[1:].mean(axis=1)
 
 
 def support_sizes(run: DynamicRun) -> list[tuple[int, ...]]:
     """Per step, how many servers each arriving player actually used."""
-    return [
-        tuple(int(np.count_nonzero(action.fractions > 0)) for action in record.actions)
-        for record in run.trace
-    ]
+    return list(map(tuple, np.count_nonzero(run.trace.fractions > 0, axis=2).tolist()))
 
 
 def convergence_grid(
@@ -326,6 +323,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _steps(trace: Trace):
+    # Per step, the columns' Python values under the JSON-lines keys, one
+    # row at a time: a whole column as Python floats takes 4x its bytes.
+    for t, after in enumerate(trace.loads[1:]):
+        yield dict(
+            t=t, arrivals=trace.arrivals[t].tolist(), actions=trace.fractions[t].tolist(),
+            loads_before=trace.loads[t].tolist(), loads_after=after.tolist(),
+            instantaneous_costs=trace.costs[t].tolist(), total_load=float(after.sum()),
+        )
+
+
 def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
     """One CSV row per step: loads after the drain, the step's cost, and a
     converged flag. The arriving player is -1 for simultaneous steps."""
@@ -338,20 +346,11 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
     )
     lines = [",".join(header)]
     for mode, run in runs.items():
-        for record in run.trace:
-            arriving = record.arrivals[0] if mode == MODE_SEQUENTIAL else -1
-            converged = int(
-                run.converged_at is not None and record.t >= run.converged_at
-            )
-            row = (
-                [str(record.t), mode, str(arriving)]
-                + [_fmt(s) for s in record.loads_after.loads]
-                + [
-                    _fmt(record.total_load),
-                    _fmt(sum(record.instantaneous_costs)),
-                    str(converged),
-                ]
-            )
+        for step in _steps(run.trace):
+            arriving = step["arrivals"][0] if mode == MODE_SEQUENTIAL else -1
+            converged = str(int(run.converged_at is not None and step["t"] >= run.converged_at))
+            row = [str(step["t"]), mode, str(arriving)] + [_fmt(s) for s in step["loads_after"]]
+            row += [_fmt(step["total_load"]), _fmt(sum(step["instantaneous_costs"])), converged]
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -362,43 +361,26 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
     path = Path(path)
     lines = []
     for mode, run in runs.items():
-        for record in run.trace:
-            lines.append(
-                json.dumps(
-                    {
-                        "mode": mode,
-                        "t": record.t,
-                        "arrivals": list(record.arrivals),
-                        "actions": [a.fractions.tolist() for a in record.actions],
-                        "loads_before": record.loads_before.loads.tolist(),
-                        "loads_after": record.loads_after.loads.tolist(),
-                        "instantaneous_costs": list(record.instantaneous_costs),
-                        "total_load": record.total_load,
-                    }
-                )
-            )
+        lines += (json.dumps({"mode": mode, **step}) for step in _steps(run.trace))
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def load_trace_jsonl(path) -> dict[str, tuple[StepRecord, ...]]:
-    """Read back a JSON-lines trace into step records, grouped by mode."""
-    grouped: dict[str, list[StepRecord]] = {}
+def load_trace_jsonl(path) -> dict[str, Trace]:
+    """Read back a JSON-lines trace as one :class:`Trace` per mode. Raises
+    ``ValueError`` where a line's ``loads_before`` is not the previous
+    line's ``loads_after``: the steps of a mode must chain."""
+    grouped: dict[str, tuple[list, ...]] = {}
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         obj = json.loads(line)
-        record = StepRecord(
-            t=obj["t"],
-            arrivals=tuple(obj["arrivals"]),
-            actions=tuple(Action(np.array(a)) for a in obj["actions"]),
-            loads_before=ServerLoads(np.array(obj["loads_before"])),
-            loads_after=ServerLoads(np.array(obj["loads_after"])),
-            instantaneous_costs=tuple(obj["instantaneous_costs"]),
-            total_load=obj["total_load"],
-        )
-        grouped.setdefault(obj["mode"], []).append(record)
-    return {mode: tuple(records) for mode, records in grouped.items()}
+        columns = grouped.setdefault(obj["mode"], ([], [], [obj["loads_before"]], []))
+        if obj["loads_before"] != columns[2][-1]:
+            raise ValueError(f"{obj['mode']} step {obj['t']} does not start where the last ended")
+        for col, key in zip(columns, ("arrivals", "actions", "loads_after", "instantaneous_costs")):
+            col.append(obj[key])
+    return {mode: Trace(*columns) for mode, columns in grouped.items()}
 
 
 def _manifest_payload(report: ExperimentReport) -> dict:

@@ -181,10 +181,6 @@ class ActionProfile:
         """The all-1/m starting profile used by the update dynamics."""
         return cls(np.full((num_players, num_servers), 1.0 / num_servers))
 
-    @classmethod
-    def from_actions(cls, actions) -> "ActionProfile":
-        return cls(np.array([a.fractions for a in actions]))
-
     @property
     def num_players(self) -> int:
         return self.matrix.shape[0]
@@ -192,9 +188,6 @@ class ActionProfile:
     @property
     def num_servers(self) -> int:
         return self.matrix.shape[1]
-
-    def row(self, i: int) -> Action:
-        return Action(self.matrix[i])
 
     def __eq__(self, other):
         if not isinstance(other, ActionProfile):
@@ -299,16 +292,6 @@ def potential(inst: Instance, profile: ActionProfile) -> float:
     player's cost change. Nonnegative; minimized at fully balanced queues."""
     _check_profile(inst, profile)
     return _finite(_potential_matrix(inst, profile.matrix), "potential")
-
-
-def _player_cost_matrix(inst: Instance, matrix: np.ndarray, i: int) -> float:
-    # Raw-matrix kernel for player i's cost, no simplex validation.
-    rates = inst.service_rates
-    work = inst.job_lengths[i] * matrix[i]
-    others = matrix.copy()
-    others[i] = 0.0
-    ahead = inst.initial_loads + inst.job_lengths @ others
-    return float(np.sum(work * (work / (2.0 * rates) + ahead / rates)))
 
 
 def state_transition(inst: Instance, loads: ServerLoads, contributions) -> ServerLoads:

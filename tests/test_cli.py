@@ -91,6 +91,15 @@ class TestDynamicCommand:
         code, out, err = run_cli(capsys, "dynamic", "--config", path, "--mode", "seq", "--seed", "1")
         assert code == 0
 
+    def test_over_budget_horizon_refused_with_reason(self, capsys, config_file):
+        path = config_file({"instance": {"mu": [1], "lambda": [0.999999], "s0": [10]}})
+        code, out, err = run_cli(capsys, "dynamic", "--config", path, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lbgame: error: horizon of ")
+        assert "over the limit of 67108864" in err
+        assert err.count("\n") == 1
+
     def test_writes_trace_and_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"
         code, out, _ = run_cli(

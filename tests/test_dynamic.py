@@ -1,15 +1,25 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbgame import (
+    Action,
+    ActionProfile,
     DynamicRun,
+    GeneratorSpec,
     InfeasibleError,
     Instance,
     ServerLoads,
+    Trace,
+    average_load_series,
     best_response,
     builtin_setting,
     dynamic_step,
     full_support_time,
+    generate_instance,
     instantaneous_cost,
     per_arrival_costs,
     run_sequential,
@@ -17,6 +27,7 @@ from lbgame import (
     run_sequential_pass,
     running_average_cost,
     state_transition,
+    support_sizes,
     zero_load_time,
     zero_load_time_alt,
 )
@@ -378,3 +389,190 @@ class TestStepRecords:
         b = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
         assert a.trace == b.trace
         assert isinstance(a.trace[0], StepRecord)
+
+
+def running_average_by_records(run, i):
+    costs = np.zeros(len(run.trace))
+    for idx, record in enumerate(run.trace):
+        if i in record.arrivals:
+            costs[idx] = record.instantaneous_costs[record.arrivals.index(i)]
+    return np.cumsum(costs) / np.arange(1, costs.size + 1)
+
+
+def per_arrival_by_records(run, i):
+    return np.array(
+        [
+            record.instantaneous_costs[record.arrivals.index(i)]
+            for record in run.trace
+            if i in record.arrivals
+        ]
+    )
+
+
+class TestColumnarTrace:
+    """A run's history is one Trace of columns, checked once per run; the
+    per-step records are views built only when asked for."""
+
+    @pytest.mark.parametrize("sid", [5, 7])
+    def test_runs_build_no_per_step_objects(self, sid, monkeypatch):
+        built = Counter()
+        for cls in (Action, ActionProfile, ServerLoads, Trace):
+            def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+                built[_name] += 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        def record(*args, _original=StepRecord):
+            built["StepRecord"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dynamic, "StepRecord", record)
+        inst = builtin_setting(sid).instance
+        seq = DynamicRun(inst, "sequential", seed=sid)
+        sim = DynamicRun(inst, "simultaneous")
+        built.clear()
+        runs = [run_sequential(seq), run_simultaneous(sim)]
+        assert all(len(run.trace) > 10 for run in runs)
+        assert dict(built) == {"Trace": 2, "ActionProfile": 2, "ServerLoads": 2}
+        runs[1].trace[-1]
+        assert built["StepRecord"] == 1
+        assert built["Action"] == inst.num_players
+        assert built["ServerLoads"] == 4
+
+    def test_unrun_config_holds_the_start_state(self):
+        inst = builtin_setting(5).instance
+        for mode, k in (("sequential", 1), ("simultaneous", inst.num_players)):
+            trace = DynamicRun(inst, mode).trace
+            assert len(trace) == 0
+            assert list(trace) == []
+            assert trace.fractions.shape == (0, k, inst.num_servers)
+            assert np.array_equal(trace.loads, [inst.initial_loads])
+
+    def test_views_match_the_columns(self):
+        inst = builtin_setting(7).instance
+        trace = run_simultaneous(DynamicRun(inst, "simultaneous")).trace
+        records = list(trace)
+        assert len(records) == len(trace) == trace.costs.shape[0]
+        assert trace[-1] == records[-1]
+        assert trace[-1].t == len(trace) - 1
+        assert trace[2:5] == tuple(records[2:5])
+        assert trace[::-1][0] == records[-1]
+        with pytest.raises(IndexError):
+            trace[len(trace)]
+        for t, record in enumerate(records):
+            assert record.t == t
+            assert record.arrivals == tuple(range(inst.num_players))
+            assert np.array_equal([a.fractions for a in record.actions], trace.fractions[t])
+            assert np.array_equal(record.loads_before.loads, trace.loads[t])
+            assert np.array_equal(record.loads_after.loads, trace.loads[t + 1])
+            assert record.instantaneous_costs == tuple(trace.costs[t])
+            assert record.total_load == record.loads_after.total
+
+    def test_columns_are_read_only(self):
+        trace = run_sequential(DynamicRun(builtin_setting(5).instance, "sequential")).trace
+        for column in (trace.arrivals, trace.fractions, trace.loads, trace.costs):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_trace_checks_the_whole_run(self):
+        good = dict(
+            arrivals=[[0], [1]],
+            fractions=[[[0.5, 0.5]], [[1.0, 0.0]]],
+            loads=[[1.0, 2.0], [0.5, 1.0], [0.0, 0.0]],
+            costs=[[1.0], [0.5]],
+        )
+        assert len(Trace(**good)) == 2
+        with pytest.raises(ValueError, match="sums to"):
+            Trace(**{**good, "fractions": [[[0.5, 0.5]], [[0.9, 0.0]]]})
+        with pytest.raises(ValueError, match="nonnegative"):
+            Trace(**{**good, "fractions": [[[0.5, 0.5]], [[1.1, -0.1]]]})
+        for bad, match in ((-0.1, "nonnegative"), (np.nan, "finite"), (np.inf, "finite")):
+            loads = np.array(good["loads"])
+            loads[1, 0] = bad
+            with pytest.raises(ValueError, match=match):
+                Trace(**{**good, "loads": loads})
+        with pytest.raises(ValueError, match="not finite"):
+            Trace(**{**good, "costs": [[1.0], [np.inf]]})
+        with pytest.raises(ValueError, match="disagree"):
+            Trace(**{**good, "loads": good["loads"][:2]})
+        with pytest.raises(ValueError, match="disagree"):
+            Trace(**{**good, "arrivals": [[0, 1], [1, 0]]})
+
+    @pytest.mark.parametrize("mode", ["sequential", "simultaneous"])
+    @pytest.mark.parametrize("sid", [1, 5, 7])
+    def test_helpers_equal_their_record_loops(self, sid, mode):
+        inst = builtin_setting(sid).instance
+        runner = run_sequential if mode == "sequential" else run_simultaneous
+        done = runner(DynamicRun(inst, mode, seed=sid))
+        for i in range(inst.num_players):
+            assert np.array_equal(running_average_cost(done, i), running_average_by_records(done, i))
+            assert np.array_equal(per_arrival_costs(done, i), per_arrival_by_records(done, i))
+        assert np.array_equal(
+            average_load_series(done),
+            np.array([record.loads_after.loads.mean() for record in done.trace]),
+        )
+        assert support_sizes(done) == [
+            tuple(int(np.count_nonzero(action.fractions > 0)) for action in record.actions)
+            for record in done.trace
+        ]
+
+
+class TestHorizonGuard:
+    """A horizon whose trace could exceed 2**26 values is refused up front:
+    max_steps * (k*m + m + 2k) values, k arrivals per step on m servers."""
+
+    def test_near_critical_default_horizon_refused(self):
+        inst = Instance([0.999999], [1.0], [10.0])
+        assert 10 * zero_load_time(inst) * 4 > 2**26
+        with pytest.raises(ValueError, match="trace values, over the limit of 67108864"):
+            DynamicRun(inst, "sequential")
+
+    @pytest.mark.parametrize(
+        "mode, n, m, per_step", [("sequential", 3, 3, 1 * 3 + 3 + 2), ("simultaneous", 2, 4, 2 * 4 + 4 + 4)]
+    )
+    def test_limit_is_inclusive(self, mode, n, m, per_step):
+        # per-step counts that divide 2**26, so the limit itself is reachable
+        inst = Instance([0.1] * n, [1.0] * m, [1.0] * m)
+        steps = 2**26 // per_step
+        assert steps * per_step == 2**26
+        assert DynamicRun(inst, mode, max_steps=steps).max_steps == steps
+        with pytest.raises(ValueError, match=f"horizon of {steps + 1} steps"):
+            DynamicRun(inst, mode, max_steps=steps + 1)
+
+    def test_runs_in_use_fit(self):
+        spec = GeneratorSpec(64, 8, (1.0, 2.0), (0.5, 1.5), (1e4, 2e4))
+        long_drain = DynamicRun(generate_instance(spec, 7), "sequential")
+        assert long_drain.max_steps * (8 + 8 + 2) < 2**26
+
+
+@st.composite
+def scaled_instances(draw):
+    """A stable instance with n, m <= 6 and the same instance with lambda,
+    mu and s0 scaled by 2**k, k in [-60, 60]. Backlogs are 0 or at least
+    1e-3, so no scaled value falls into the subnormal range."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    rates = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    lengths = draw(st.floats(0.05, 0.9)) * rates.sum() * weights / weights.sum()
+    backlog = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    loads = np.array(draw(st.lists(backlog, min_size=m, max_size=m)))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return Instance(lengths, rates, loads), Instance(lengths * scale, rates * scale, loads * scale), scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_instances(), st.sampled_from(["sequential", "simultaneous"]), st.integers(0, 2**32 - 1))
+def test_power_of_two_scaling_is_exact(case, mode, seed):
+    inst, big, scale = case
+    runner = run_sequential if mode == "sequential" else run_simultaneous
+    base = runner(DynamicRun(inst, mode, seed=seed))
+    scaled = runner(DynamicRun(big, mode, seed=seed))
+    assert np.array_equal(base.trace.arrivals, scaled.trace.arrivals)
+    assert np.array_equal(base.trace.fractions, scaled.trace.fractions)
+    assert np.array_equal(base.trace.loads * scale, scaled.trace.loads)
+    assert np.array_equal(base.trace.costs * scale, scaled.trace.costs)
+    assert base.converged_at == scaled.converged_at
+    for bound in (full_support_time, zero_load_time, zero_load_time_alt):
+        assert bound(inst) == bound(big)

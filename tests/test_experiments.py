@@ -8,7 +8,7 @@ from lbgame import (
     GeneratorSpec,
     Instance,
     ServerLoads,
-    StepRecord,
+    Trace,
     average_load_series,
     builtin_setting,
     builtin_settings,
@@ -191,9 +191,9 @@ class TestTraceExport:
         before = ServerLoads([2.0, 4.0])
         cost = instantaneous_cost(inst, action, before, 1)
         after = state_transition(inst, before, 2.0 * action.fractions)
-        record = StepRecord(0, (1,), (action,), before, after, (cost,), after.total)
+        trace = Trace([[1]], [[action.fractions]], [before.loads, after.loads], [[cost]])
         scripted = DynamicRun(
-            inst, "sequential", order=(1,), max_steps=1, trace=(record,)
+            inst, "sequential", order=(1,), max_steps=1, trace=trace
         )
         path = write_trace_csv({"sequential": scripted}, tmp_path / "scripted.csv")
         row = path.read_text().splitlines()[1].split(",")
@@ -209,6 +209,22 @@ class TestTraceExport:
         assert set(loaded) == {"sequential", "simultaneous"}
         for mode, run in report.runs.items():
             assert loaded[mode] == run.trace
+
+    def test_jsonl_loads_one_trace_per_mode(self, tmp_path):
+        report = run_experiment(builtin_setting(7), seed=4, modes=("sequential", "simultaneous"))
+        loaded = load_trace_jsonl(write_trace_jsonl(report.runs, tmp_path / "trace.jsonl"))
+        for mode, run in report.runs.items():
+            assert isinstance(loaded[mode], Trace)
+            assert len(loaded[mode]) == len(run.trace)
+            assert np.array_equal(loaded[mode].loads, run.trace.loads)
+
+    def test_jsonl_steps_must_chain(self, tmp_path):
+        report = run_experiment(builtin_setting(5), seed=9, modes=("sequential",))
+        lines = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+        with pytest.raises(ValueError, match="sequential step 4 does not start where the last ended"):
+            load_trace_jsonl(broken)
 
     def test_csv_values_round_trip_exactly(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9, modes=("sequential",))

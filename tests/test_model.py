@@ -14,7 +14,7 @@ from lbgame import (
     social_cost,
     state_transition,
 )
-from lbgame.model import _player_cost_matrix, _potential_matrix
+from lbgame.model import _potential_matrix, _wait
 
 from conftest import cost_by_summation, random_instance, random_profile
 
@@ -93,11 +93,6 @@ class TestActionTypes:
         profile = ActionProfile.uniform(3, 4)
         assert profile.matrix.shape == (3, 4)
         assert np.allclose(profile.matrix, 0.25)
-
-    def test_profile_round_trip_through_actions(self):
-        profile = ActionProfile.uniform(2, 3)
-        again = ActionProfile.from_actions([profile.row(0), profile.row(1)])
-        assert again == profile
 
     def test_server_loads_nonnegative(self):
         ServerLoads([0.0, 1.5])
@@ -215,7 +210,10 @@ class TestPotential:
             up[i, j] += step
             down[i, j] -= step
             fd_potential = (_potential_matrix(inst, up) - _potential_matrix(inst, down)) / (2 * step)
-            fd_cost = (_player_cost_matrix(inst, up, i) - _player_cost_matrix(inst, down, i)) / (2 * step)
+            rates = inst.service_rates
+            fd_cost = (
+                _wait(length * up[i], ahead, rates) - _wait(length * down[i], ahead, rates)
+            ) / (2 * step)
             assert fd_potential == pytest.approx(analytic, rel=1e-5, abs=1e-5)
             assert fd_cost == pytest.approx(analytic, rel=1e-5, abs=1e-5)
 
