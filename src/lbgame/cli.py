@@ -28,6 +28,7 @@ from .dynamic import (
 from .experiments import (
     ExperimentReport,
     _fmt,
+    _run_static,
     builtin_setting,
     builtin_settings,
     export_trace,
@@ -35,7 +36,7 @@ from .experiments import (
     setting_instance,
 )
 from .model import InfeasibleError, Instance, social_cost
-from .static import empirical_poa, is_nash, opt_lower_bound, poa_upper_bound, run_sequential_pass
+from .static import empirical_poa, opt_lower_bound, poa_upper_bound, run_sequential_pass
 
 
 class ConfigError(ValueError):
@@ -44,7 +45,7 @@ class ConfigError(ValueError):
 
 _CONFIG_KEYS = {
     "instance": ("mu", "lambda", "s0"),
-    "run": ("mode", "order", "seed", "max_steps", "zero_tolerance"),
+    "run": ("mode", "order", "seed", "max_steps"),
     "output": ("path", "format"),
 }
 
@@ -114,29 +115,26 @@ class _SeedBox:
         return int(self.value)
 
 
-def _resolve_instance(args, config: dict, seed: _SeedBox) -> Instance:
-    if getattr(args, "setting", None) is not None:
+def _setup(args) -> tuple[dict, _SeedBox, Instance]:
+    # The config, seed and instance that static, dynamic and poa start from.
+    config = load_config(args.config) if args.config else {}
+    seed = _SeedBox(args.seed, config.get("run", {}).get("seed"))
+    if args.setting is not None:
         spec = builtin_setting(args.setting)
-        if spec.instance is not None:
-            return spec.instance
-        return setting_instance(spec, seed.get())
-    if config.get("instance"):
-        return instance_from_config(config)
-    raise ConfigError("no instance given: pass --setting ID or a config file")
+        inst = spec.instance if spec.instance is not None else setting_instance(spec, seed.get())
+    elif config.get("instance"):
+        inst = instance_from_config(config)
+    else:
+        raise ConfigError("no instance given: pass --setting ID or a config file")
+    return config, seed, inst
 
 
-def _run_field(args, config: dict, flag: str | None, key: str, default=None):
-    value = getattr(args, flag, None) if flag else None
-    if value is not None:
-        return value
-    return config.get("run", {}).get(key, default)
-
-
-def _output_field(args, config: dict, flag: str, key: str, default=None):
+def _field(args, config: dict, block: str, flag: str, key: str, default=None):
+    # A command-line flag overrides the config's ``block.key``.
     value = getattr(args, flag, None)
     if value is not None:
         return value
-    return config.get("output", {}).get(key, default)
+    return config.get(block, {}).get(key, default)
 
 
 def _parse_order(value):
@@ -156,22 +154,20 @@ def _parse_order(value):
 
 
 def cmd_static(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    seed = _SeedBox(args.seed, config.get("run", {}).get("seed"))
-    inst = _resolve_instance(args, config, seed)
-    profile, potentials = run_sequential_pass(inst)
-    check = is_nash(inst, profile)
+    config, _, inst = _setup(args)
+    result = _run_static(inst)
+    potentials = result.potentials
     print(f"players={inst.num_players} servers={inst.num_servers}")
     for step, value in enumerate(potentials, start=1):
         print(f"update={step} potential={_fmt(value)}")
     print(
-        f"updates={len(potentials)} nash={str(check.is_equilibrium).lower()} "
-        f"max_improvement={check.max_improvement:.3e}"
+        f"updates={len(potentials)} nash={str(result.is_equilibrium).lower()} "
+        f"max_improvement={result.max_improvement:.3e}"
     )
-    out = _output_field(args, config, "out", "path")
+    out = _field(args, config, "output", "out", "path")
     if out:
         payload = {
-            "profile": profile.matrix.tolist(),
+            "profile": result.profile.matrix.tolist(),
             "potential": potentials[-1] if potentials else None,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -180,27 +176,17 @@ def cmd_static(args) -> int:
 
 
 def cmd_dynamic(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    seed = _SeedBox(args.seed, config.get("run", {}).get("seed"))
-    inst = _resolve_instance(args, config, seed)
-    mode_raw = _run_field(args, config, "mode", "mode", "seq")
+    config, seed, inst = _setup(args)
+    mode_raw = _field(args, config, "run", "mode", "mode", "seq")
     mode = _MODE_ALIASES.get(str(mode_raw))
     if mode is None:
         raise ConfigError(f"unknown mode: {mode_raw!r} (use seq or simul)")
-    order = _parse_order(_run_field(args, config, "order", "order", "random"))
-    max_steps = _run_field(args, config, "max_steps", "max_steps")
-    zero_tolerance = float(_run_field(args, config, None, "zero_tolerance", 0.0))
+    order = _parse_order(_field(args, config, "run", "order", "order", "random"))
+    max_steps = _field(args, config, "run", "max_steps", "max_steps")
     run_seed = seed.get() if (mode == MODE_SEQUENTIAL and order == "random") else (
         seed.value if seed.value is not None else 0
     )
-    cfg = DynamicRun(
-        inst,
-        mode,
-        order=order,
-        max_steps=max_steps,
-        seed=int(run_seed),
-        zero_tolerance=zero_tolerance,
-    )
+    cfg = DynamicRun(inst, mode, order=order, max_steps=max_steps, seed=int(run_seed))
     done = run_sequential(cfg) if mode == MODE_SEQUENTIAL else run_simultaneous(cfg)
     converged = "none" if done.converged_at is None else str(done.converged_at)
     print(f"mode={mode} steps={len(done.trace)} converged_at={converged}")
@@ -209,9 +195,9 @@ def cmd_dynamic(args) -> int:
         f"zero_load_bound={zero_load_time(inst)} "
         f"alternative_bound={zero_load_time_alt(inst)}"
     )
-    out = _output_field(args, config, "out", "path")
+    out = _field(args, config, "output", "out", "path")
     if out:
-        fmt = _output_field(args, config, "format", "format", "csv")
+        fmt = _field(args, config, "output", "format", "format", "csv")
         report = ExperimentReport(
             setting_id=args.setting if args.setting is not None else "custom",
             seed=int(seed.value if seed.value is not None else 0),
@@ -225,9 +211,7 @@ def cmd_dynamic(args) -> int:
 
 
 def cmd_poa(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    seed = _SeedBox(args.seed, config.get("run", {}).get("seed"))
-    inst = _resolve_instance(args, config, seed)
+    _, _, inst = _setup(args)
     profile, _ = run_sequential_pass(inst)
     ratio = empirical_poa(inst, profile)
     print(f"poa_upper_bound={_fmt(poa_upper_bound(inst))}")

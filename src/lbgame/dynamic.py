@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Action, ActionProfile, InfeasibleError, Instance, ServerLoads
-from .model import _check_player, _finite, _wait
+from .model import Action, InfeasibleError, Instance, ServerLoads
+from .model import _check_player, _finite, _queues, _rows_on_simplex, _wait
 from .static import _effective_loads, _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
@@ -49,7 +49,10 @@ class Trace:
     """A run's history as columns over T steps of k arrivals on m servers:
     ``arrivals`` and ``costs`` (T, k), ``fractions`` (T, k, m), and ``loads``
     (T+1, m), the start state then the state after each drain. The run is
-    checked once; indexing builds :class:`StepRecord` views on demand."""
+    checked once; indexing builds :class:`StepRecord` views on demand.
+
+    Float64 ndarray columns (and int ``arrivals``) are kept without a copy
+    and marked read-only in place; other inputs are converted first."""
 
     arrivals: np.ndarray
     fractions: np.ndarray
@@ -59,14 +62,14 @@ class Trace:
     def __post_init__(self):
         fractions, loads = np.asarray(self.fractions, float), np.asarray(self.loads, float)
         steps, k, m = fractions.shape
-        arrivals, costs = np.array(self.arrivals, int), np.array(self.costs, float)
+        arrivals, costs = np.asarray(self.arrivals, int), np.asarray(self.costs, float)
         _finite(costs, "trace cost")
         if (arrivals.shape, costs.shape, loads.shape) != ((steps, k), (steps, k), (steps + 1, m)):
             raise ValueError("trace columns disagree on the steps, arrivals or servers")
-        arrivals.flags.writeable = costs.flags.writeable = False
-        fractions = ActionProfile(fractions.reshape(-1, m)).matrix.reshape(fractions.shape)
-        loads = ServerLoads(loads.ravel()).loads.reshape(loads.shape)
+        _rows_on_simplex(_queues(fractions, "trace fractions"), "trace fractions")
+        _queues(loads, "trace loads")
         for name, column in zip(vars(self), (arrivals, fractions, loads, costs)):
+            column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -98,11 +101,11 @@ class DynamicRun:
     max_steps       horizon cap; defaults to 10x the analytic zero-load
                     bound so a run always terminates. A horizon whose trace
                     could exceed 2**26 values is refused
-    zero_tolerance  total load at or below this counts as drained; the
-                    drain clamp produces exact zeros, so 0.0 is the default
-    trace           the run's :class:`Trace`; holds no steps until run
+    trace           the run's :class:`Trace`, with k arrivals per step on
+                    the instance's m servers (k = 1 in sequential and n in
+                    simultaneous mode); holds no steps until run
     converged_at    first recorded step after which the total load stayed
-                    at or below ``zero_tolerance``
+                    exactly 0.0, which the drain clamp reaches exactly
     """
 
     inst: Instance
@@ -110,7 +113,6 @@ class DynamicRun:
     order: str | tuple[int, ...] = ORDER_RANDOM
     max_steps: int | None = None
     seed: int = 0
-    zero_tolerance: float = 0.0
     trace: Trace | None = None
     converged_at: int | None = None
 
@@ -142,8 +144,6 @@ class DynamicRun:
             for i in seq:
                 _check_player(inst, i)
             object.__setattr__(self, "order", seq)
-        if self.zero_tolerance < 0:
-            raise ValueError("zero_tolerance must be nonnegative")
         if self.max_steps is None:
             object.__setattr__(self, "max_steps", max(2, 10 * zero_load_time(inst)))
         else:
@@ -164,6 +164,11 @@ class DynamicRun:
             empty = np.zeros((0, k))
             trace = Trace(empty, np.zeros((0, k, m)), inst.initial_loads[None], empty)
             object.__setattr__(self, "trace", trace)
+        elif self.trace.fractions.shape[1:] != (k, m):
+            raise ValueError(
+                "trace does not fit the run: {} arrivals on {} servers per step, expected {} on {}"
+                .format(*self.trace.fractions.shape[1:], k, m)
+            )
 
 
 def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
@@ -172,7 +177,7 @@ def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
     _check_player(inst, i)
     eff = _effective_loads(loads.loads, inst.num_servers)
     matrix, after, (cost,) = _round(inst, eff, (i,))
-    return Action(matrix[0]), ServerLoads(after), cost
+    return Action(matrix[0]), ServerLoads(after), float(cost)
 
 
 def _round(inst: Instance, loads: np.ndarray, arrivals: tuple[int, ...]):
@@ -194,8 +199,7 @@ def _round(inst: Instance, loads: np.ndarray, arrivals: tuple[int, ...]):
             pass
         work = lengths[:, None] * matrix
         incoming = lengths @ matrix
-    costs = tuple(_wait(row, loads, rates) for row in work)
-    return matrix, np.maximum(loads + incoming - rates, 0.0), costs
+    return matrix, np.maximum(loads + incoming - rates, 0.0), _wait(work, loads, rates)
 
 
 def _arrival_at(run: DynamicRun, rng, t: int) -> int:
@@ -209,7 +213,7 @@ def _arrival_at(run: DynamicRun, rng, t: int) -> int:
 def _play(run: DynamicRun, mode: str) -> DynamicRun:
     # The stepping loop shared by both modes: picks each step's arrivals,
     # plays the raw ``_round`` and appends its arrays to the columns, which
-    # one ``Trace`` checks at the end.
+    # one ``Trace`` checks at the end without copying them.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
     everyone = tuple(range(run.inst.num_players))
@@ -222,23 +226,21 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
         matrix, loads, costs = _round(run.inst, loads, arrivals)
         for column, value in zip(columns, (arrivals, matrix, loads, costs)):
             column.append(value)
-        total = float(loads.sum())
-        if total <= run.zero_tolerance:
+        if not loads.any():
             if candidate is None:
                 candidate = t
             else:
                 break
         else:
             candidate = None
-    columns = tuple(map(np.asarray, columns))  # frees the step lists before the check copies
-    return replace(run, trace=Trace(*columns), converged_at=candidate)
+    return replace(run, trace=Trace(*map(np.asarray, columns)), converged_at=candidate)
 
 
 def run_sequential(run: DynamicRun) -> DynamicRun:
     """Play the one-arrival-per-step dynamics until the queues drain.
 
     Halts at ``max_steps``, or one confirming step after the total load
-    first reaches ``zero_tolerance``. Returns a copy of ``run`` with the
+    first reaches exactly 0.0. Returns a copy of ``run`` with the
     trace and ``converged_at`` filled in.
     """
     return _play(run, MODE_SEQUENTIAL)

@@ -28,17 +28,19 @@ from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"
 
+# Draws generate_instance makes before it gives up on a recipe.
+_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for sampling an instance: sizes, uniform ranges, and a seed."""
+    """Recipe for sampling an instance: sizes and uniform ranges."""
 
     num_players: int
     num_servers: int
     service_rate_range: tuple[float, float]
     job_length_range: tuple[float, float]
     initial_load_range: tuple[float, float]
-    seed: int | None = None
 
     def __post_init__(self):
         if self.num_players < 1 or self.num_servers < 1:
@@ -151,36 +153,31 @@ def builtin_settings() -> tuple[SettingSpec, ...]:
 
 
 def generate_instance(
-    spec: GeneratorSpec,
-    seed: int | None = None,
-    *,
-    require_simultaneous: bool = False,
-    attempts: int = 100,
+    spec: GeneratorSpec, seed: int | None = None, *, require_simultaneous: bool = False
 ) -> Instance:
     """Sample an instance from the recipe, deterministically for a seed.
 
     Re-draws until the instance passes validation and the sequential
     stability condition (plus the simultaneous one when requested), and
-    fails after ``attempts`` tries.
+    fails after 100 tries.
     """
-    if seed is None:
-        seed = spec.seed
     if seed is None:
         raise ValueError("a seed is required to generate an instance")
     rng = np.random.default_rng(int(seed))
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         rates = rng.uniform(*spec.service_rate_range, spec.num_servers)
         lengths = rng.uniform(*spec.job_length_range, spec.num_players)
         loads = rng.uniform(*spec.initial_load_range, spec.num_servers)
-        if np.any(rates <= 0) or np.any(lengths <= 0) or np.any(loads < 0):
+        try:
+            inst = Instance(lengths, rates, loads)
+        except ValueError:
             continue
-        inst = Instance(lengths, rates, loads)
         if not inst.feasible_sequential:
             continue
         if require_simultaneous and not inst.feasible_simultaneous:
             continue
         return inst
-    raise ValueError(f"could not generate a feasible instance in {attempts} attempts")
+    raise ValueError(f"could not generate a feasible instance in {_ATTEMPTS} attempts")
 
 
 def setting_instance(setting: SettingSpec, seed: int | None = None) -> Instance:
@@ -412,7 +409,7 @@ def export_trace(report: ExperimentReport, path, fmt: str = "csv") -> Path:
         raise ValueError("report holds no dynamic runs to export")
     if fmt == "csv":
         out = write_trace_csv(report.runs, path)
-    elif fmt in ("jsonl", "json-lines"):
+    elif fmt == "jsonl":
         out = write_trace_jsonl(report.runs, path)
     else:
         raise ValueError(f"unknown trace format: {fmt!r}")

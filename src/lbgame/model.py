@@ -31,10 +31,30 @@ def _vector(values, name: str, *, allow_empty: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if arr.size == 0 and not allow_empty:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+    _queues(arr, name)
     arr.flags.writeable = False
     return arr
+
+
+def _queues(arr: np.ndarray, name: str) -> np.ndarray:
+    # The one check that values of any shape are finite and nonnegative:
+    # queue contents, work, and fractions. Checks in place, copies nothing.
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must contain only finite values")
+    if np.any(arr < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return arr
+
+
+def _rows_on_simplex(mat: np.ndarray, name: str) -> np.ndarray:
+    # The one check that each row (a 1-D vector is one row) sums to 1 within
+    # SIMPLEX_ATOL. Checks in place, copies nothing.
+    sums = mat.sum(axis=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)
+    if bad.size:
+        row = f" row {bad[0]}" if mat.ndim > 1 else ""
+        raise ValueError(f"{name}{row} sums to {float(sums[bad[0]])!r}, expected 1")
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +91,6 @@ class Instance:
             raise ValueError(
                 f"initial_loads has {loads.size} entries for {rates.size} servers"
             )
-        if np.any(loads < 0):
-            raise ValueError("initial_loads must all be nonnegative")
         object.__setattr__(self, "job_lengths", lengths)
         object.__setattr__(self, "service_rates", rates)
         object.__setattr__(self, "initial_loads", loads)
@@ -136,12 +154,7 @@ class Action:
     fractions: np.ndarray
 
     def __post_init__(self):
-        arr = _vector(self.fractions, "fractions")
-        if np.any(arr < 0):
-            raise ValueError("action fractions must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise ValueError(f"action fractions must sum to 1, got {total!r}")
+        arr = _rows_on_simplex(_vector(self.fractions, "action"), "action")
         object.__setattr__(self, "fractions", arr)
 
     def __eq__(self, other):
@@ -162,17 +175,7 @@ class ActionProfile:
             raise ValueError(f"profile matrix must be 2-D, got shape {mat.shape}")
         if mat.shape[1] == 0:
             raise ValueError("profile matrix needs at least one server column")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("profile matrix must contain only finite values")
-        if np.any(mat < 0):
-            raise ValueError("profile entries must be nonnegative")
-        if mat.shape[0]:
-            sums = mat.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]
-            if bad.size:
-                raise ValueError(
-                    f"profile row {bad[0]} sums to {sums[bad[0]]!r}, expected 1"
-                )
+        _rows_on_simplex(_queues(mat, "profile"), "profile")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -202,10 +205,7 @@ class ServerLoads:
     loads: np.ndarray
 
     def __post_init__(self):
-        arr = _vector(self.loads, "loads")
-        if np.any(arr < 0):
-            raise ValueError("server loads must be nonnegative")
-        object.__setattr__(self, "loads", arr)
+        object.__setattr__(self, "loads", _vector(self.loads, "server loads"))
 
     @property
     def total(self) -> float:
@@ -247,12 +247,9 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     that overflows float64 raises ``ValueError``.
     """
     _check_profile(inst, profile)
-    rates = inst.service_rates
     work = inst.job_lengths[:, None] * profile.matrix
     queued = inst.initial_loads + work.sum(axis=0)
-    ahead = queued[None, :] - work
-    costs = np.sum(work * (work / (2.0 * rates) + ahead / rates), axis=1)
-    return _finite(costs, "player cost")
+    return _finite(_wait(work, queued - work, inst.service_rates), "player cost")
 
 
 def player_cost(inst: Instance, profile: ActionProfile, i: int) -> float:
@@ -268,12 +265,14 @@ def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: in
         raise ValueError("action length does not match the number of servers")
     if loads.loads.size != inst.num_servers:
         raise ValueError("loads length does not match the number of servers")
-    return _wait(inst.job_lengths[i] * action.fractions, loads.loads, inst.service_rates)
+    return float(_wait(inst.job_lengths[i] * action.fractions, loads.loads, inst.service_rates))
 
 
-def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> float:
-    # Raw kernel: average wait of ``work`` joining queues that hold ``loads``.
-    return float(np.sum(work * (work / (2.0 * rates) + loads / rates)))
+def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    # The one copy of the wait formula: per row of ``work`` (summed over the
+    # last axis), the average wait of that work joining queues that hold
+    # ``loads``. A 1-D ``work`` gives a 0-d result.
+    return np.sum(work * (work / (2.0 * rates) + loads / rates), axis=-1)
 
 
 def _potential_of(queued: np.ndarray, rates: np.ndarray) -> float:
@@ -300,8 +299,7 @@ def state_transition(inst: Instance, loads: ServerLoads, contributions) -> Serve
     contrib = np.asarray(contributions, dtype=float)
     if contrib.shape != (inst.num_servers,):
         raise ValueError("contributions length does not match the number of servers")
-    if np.any(contrib < 0):
-        raise ValueError("contributions must be nonnegative")
+    _queues(contrib, "contributions")
     if loads.loads.size != inst.num_servers:
         raise ValueError("loads length does not match the number of servers")
     return ServerLoads(np.maximum(loads.loads + contrib - inst.service_rates, 0.0))

@@ -23,6 +23,7 @@ from .model import (
     _check_profile,
     _finite,
     _potential_of,
+    _queues,
     _wait,
     player_costs,
     social_cost,
@@ -100,9 +101,7 @@ def _effective_loads(effective_loads, num_servers: int) -> np.ndarray:
     )
     if arr.shape != (num_servers,):
         raise ValueError("effective loads length does not match the number of servers")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("effective loads must be finite and nonnegative")
-    return arr
+    return _queues(arr, "effective loads")
 
 
 def best_response(inst: Instance, i: int, effective_loads) -> BestResponseResult:
@@ -145,19 +144,14 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(v + shift, 0.0)
 
 
-def best_response_oracle(
-    inst: Instance,
-    i: int,
-    effective_loads,
-    *,
-    max_iterations: int = 10_000,
-    displacement_tol: float = 1e-13,
-) -> Action:
+def best_response_oracle(inst: Instance, i: int, effective_loads) -> Action:
     """Independent numeric check on :func:`best_response`.
 
     Minimizes the same wait-time objective by projected gradient descent on
-    the simplex, with the step size set by the largest curvature. Kept free
-    of the closed form on purpose so the two can validate each other.
+    the simplex, with the step size set by the largest curvature, until no
+    fraction moves by more than 1e-13; gives up after 10,000 iterations.
+    Kept free of the closed form on purpose so the two can validate each
+    other.
     """
     _check_player(inst, i)
     eff = _effective_loads(effective_loads, inst.num_servers)
@@ -166,16 +160,14 @@ def best_response_oracle(
     levels = eff / rates
     step = inst.min_service_rate / length**2
     x = np.full(inst.num_servers, 1.0 / inst.num_servers)
-    for _ in range(max_iterations):
+    for _ in range(10_000):
         gradient = length * levels + (length**2) * x / rates
         moved = project_to_simplex(x - step * gradient)
         shift = float(np.max(np.abs(moved - x)))
         x = moved
-        if shift <= displacement_tol:
+        if shift <= 1e-13:
             return Action(x)
-    raise OracleConvergenceError(
-        f"projected gradient descent did not settle in {max_iterations} iterations"
-    )
+    raise OracleConvergenceError("projected gradient descent did not settle in 10000 iterations")
 
 
 def run_sequential_pass(

@@ -26,6 +26,7 @@ from lbgame import (
     run_simultaneous,
     run_sequential_pass,
     running_average_cost,
+    setting_instance,
     state_transition,
     support_sizes,
     zero_load_time,
@@ -203,9 +204,9 @@ class TestSharedKernels:
     """Both run modes share one stepping loop; each recorded step must still
     be the public one-step computation of its mode."""
 
-    @pytest.mark.parametrize("sid", [5, 7])
+    @pytest.mark.parametrize("sid", [3, 5, 7])
     def test_simultaneous_round_is_the_pass_on_observed_loads(self, sid):
-        inst = builtin_setting(sid).instance
+        inst = setting_instance(builtin_setting(sid), 0)
         done = run_simultaneous(DynamicRun(inst, "simultaneous"))
         for record in done.trace:
             before = record.loads_before
@@ -213,8 +214,10 @@ class TestSharedKernels:
                 Instance(inst.job_lengths, inst.service_rates, before.loads)
             )
             assert len(record.actions) == inst.num_players
-            for row, action in zip(profile.matrix, record.actions):
+            for i, (row, action) in enumerate(zip(profile.matrix, record.actions)):
                 assert np.array_equal(action.fractions, row)
+                cost = instantaneous_cost(inst, Action(row), before, i)
+                assert record.instantaneous_costs[i] == cost
             contributions = inst.job_lengths @ profile.matrix
             assert record.loads_after == state_transition(inst, before, contributions)
 
@@ -326,11 +329,6 @@ class TestRunningAverages:
                     steady[i], abs=1e-9
                 )
 
-    def test_negative_zero_tolerance_rejected(self):
-        inst = builtin_setting(5).instance
-        with pytest.raises(ValueError):
-            DynamicRun(inst, "sequential", zero_tolerance=-1.0)
-
     def test_per_arrival_average_settles_within_five_percent(self):
         # the run halts once drained; every arrival after that costs exactly
         # the steady value (asserted above at 1e-9), so the long-horizon
@@ -434,11 +432,11 @@ class TestColumnarTrace:
         built.clear()
         runs = [run_sequential(seq), run_simultaneous(sim)]
         assert all(len(run.trace) > 10 for run in runs)
-        assert dict(built) == {"Trace": 2, "ActionProfile": 2, "ServerLoads": 2}
+        assert dict(built) == {"Trace": 2}
         runs[1].trace[-1]
         assert built["StepRecord"] == 1
         assert built["Action"] == inst.num_players
-        assert built["ServerLoads"] == 4
+        assert built["ServerLoads"] == 2
 
     def test_unrun_config_holds_the_start_state(self):
         inst = builtin_setting(5).instance
@@ -474,6 +472,28 @@ class TestColumnarTrace:
         for column in (trace.arrivals, trace.fractions, trace.loads, trace.costs):
             with pytest.raises(ValueError):
                 column[0] = 0
+
+    def test_float64_columns_are_kept_without_a_copy(self):
+        columns = dict(
+            arrivals=np.array([[0], [1]]),
+            fractions=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]),
+            loads=np.array([[1.0, 2.0], [0.5, 1.0], [0.0, 0.0]]),
+            costs=np.array([[1.0], [0.5]]),
+        )
+        trace = Trace(**columns)
+        for name, given in columns.items():
+            assert np.shares_memory(getattr(trace, name), given)
+            assert not given.flags.writeable
+
+    @pytest.mark.parametrize("mode,k,m", [("sequential", 1, 3), ("simultaneous", 2, 2)])
+    def test_run_refuses_a_trace_that_does_not_fit(self, mode, k, m):
+        # one player on two servers: a sequential or simultaneous step holds
+        # one arrival on two servers
+        inst = Instance([1.0], [2.0, 2.0], [1.0, 1.0])
+        fractions = np.full((1, k, m), 1.0 / m)
+        trace = Trace(np.zeros((1, k), int), fractions, np.ones((2, m)), np.ones((1, k)))
+        with pytest.raises(ValueError, match="trace does not fit the run"):
+            DynamicRun(inst, mode, trace=trace)
 
     def test_trace_checks_the_whole_run(self):
         good = dict(
