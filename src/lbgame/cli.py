@@ -19,6 +19,7 @@ from .dynamic import (
     MODE_SEQUENTIAL,
     MODE_SIMULTANEOUS,
     DynamicRun,
+    _drain_instance,
     full_support_time,
     run_sequential,
     run_simultaneous,
@@ -190,10 +191,11 @@ def cmd_dynamic(args) -> int:
     done = run_sequential(cfg) if mode == MODE_SEQUENTIAL else run_simultaneous(cfg)
     converged = "none" if done.converged_at is None else str(done.converged_at)
     print(f"mode={mode} steps={len(done.trace)} converged_at={converged}")
+    bounds = _drain_instance(inst, mode)
     print(
-        f"full_support_bound={full_support_time(inst)} "
-        f"zero_load_bound={zero_load_time(inst)} "
-        f"alternative_bound={zero_load_time_alt(inst)}"
+        f"full_support_bound={full_support_time(bounds)} "
+        f"zero_load_bound={zero_load_time(bounds)} "
+        f"alternative_bound={zero_load_time_alt(bounds)}"
     )
     out = _field(args, config, "output", "out", "path")
     if out:

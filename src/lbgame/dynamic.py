@@ -99,8 +99,8 @@ class DynamicRun:
                     explicit sequence of player indices, cycled if shorter
                     than the horizon
     max_steps       horizon cap; defaults to 10x the analytic zero-load
-                    bound so a run always terminates. A horizon whose trace
-                    could exceed 2**26 values is refused
+                    bound of the run's mode so a run always terminates. A
+                    horizon whose trace could exceed 2**26 values is refused
     trace           the run's :class:`Trace`, with k arrivals per step on
                     the instance's m servers (k = 1 in sequential and n in
                     simultaneous mode); holds no steps until run
@@ -145,7 +145,8 @@ class DynamicRun:
                 _check_player(inst, i)
             object.__setattr__(self, "order", seq)
         if self.max_steps is None:
-            object.__setattr__(self, "max_steps", max(2, 10 * zero_load_time(inst)))
+            bound = zero_load_time(_drain_instance(inst, self.mode))
+            object.__setattr__(self, "max_steps", max(2, 10 * bound))
         else:
             try:
                 object.__setattr__(self, "max_steps", operator.index(self.max_steps))
@@ -261,6 +262,15 @@ def run_simultaneous(run: DynamicRun) -> DynamicRun:
     least the capacity surplus every step.
     """
     return _play(run, MODE_SIMULTANEOUS)
+
+
+def _drain_instance(inst: Instance, mode: str) -> Instance:
+    # The instance whose drain bounds hold in ``mode``. Every equilibrium of
+    # a simultaneous round puts the water-fill of the combined job on the
+    # queues, so that mode drains as one player holding all the work.
+    if mode == MODE_SIMULTANEOUS:
+        return Instance([inst.total_job_length], inst.service_rates, inst.initial_loads)
+    return inst
 
 
 def full_support_time(inst: Instance) -> int:

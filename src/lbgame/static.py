@@ -30,10 +30,6 @@ from .model import (
 )
 
 
-class OracleConvergenceError(RuntimeError):
-    """The numeric minimizer failed to settle within its iteration cap."""
-
-
 def water_fill(total: float, rates, levels):
     """Spread ``total`` work over channels so the filled ones share one level.
 
@@ -131,43 +127,6 @@ def _respond(length: float, rates: np.ndarray, loads: np.ndarray):
     # finite and nonnegative. Returns ``(fractions, level, support, order)``.
     amounts, level, support, order = water_fill(length, rates, loads / rates)
     return amounts / length, level, support, order
-
-
-def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    positive = u + (1.0 - cumulative) / np.arange(1, v.size + 1) > 0
-    rho = int(np.nonzero(positive)[0][-1])
-    shift = (1.0 - cumulative[rho]) / (rho + 1)
-    return np.maximum(v + shift, 0.0)
-
-
-def best_response_oracle(inst: Instance, i: int, effective_loads) -> Action:
-    """Independent numeric check on :func:`best_response`.
-
-    Minimizes the same wait-time objective by projected gradient descent on
-    the simplex, with the step size set by the largest curvature, until no
-    fraction moves by more than 1e-13; gives up after 10,000 iterations.
-    Kept free of the closed form on purpose so the two can validate each
-    other.
-    """
-    _check_player(inst, i)
-    eff = _effective_loads(effective_loads, inst.num_servers)
-    length = float(inst.job_lengths[i])
-    rates = inst.service_rates
-    levels = eff / rates
-    step = inst.min_service_rate / length**2
-    x = np.full(inst.num_servers, 1.0 / inst.num_servers)
-    for _ in range(10_000):
-        gradient = length * levels + (length**2) * x / rates
-        moved = project_to_simplex(x - step * gradient)
-        shift = float(np.max(np.abs(moved - x)))
-        x = moved
-        if shift <= 1e-13:
-            return Action(x)
-    raise OracleConvergenceError("projected gradient descent did not settle in 10000 iterations")
 
 
 def run_sequential_pass(

@@ -7,6 +7,7 @@ criteria that inspect the same runs.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from lbgame import (
     Instance,
     ServerLoads,
     best_response,
-    best_response_oracle,
     builtin_setting,
     empirical_poa,
     export_trace,
@@ -38,6 +38,7 @@ from lbgame import (
     zero_load_time_alt,
 )
 
+import exact as ex
 from conftest import random_instance, random_profile
 
 
@@ -85,25 +86,26 @@ def test_criterion_01_exact_potential_identity():
     assert elapsed < 5.0
 
 
-def test_criterion_02_closed_form_matches_gradient_oracle():
+def test_criterion_02_closed_form_matches_exact_oracle():
+    # The closed form's cost, as the library computes it, against the exact
+    # minimum of tests/exact.py: within exact.COST = 16 eps, relative.
     start = time.perf_counter()
     rng = np.random.default_rng(202)
-    worst = -np.inf
+    worst = Fraction(0)
     for _ in range(200):
         inst = random_instance(rng, max_players=6, max_servers=6)
         i = int(rng.integers(inst.num_players))
         loads = rng.uniform(0.0, 5.0, inst.num_servers)
         closed = best_response(inst, i, loads).action
-        numeric = best_response_oracle(inst, i, loads)
-        wrapped = ServerLoads(loads)
-        gap = instantaneous_cost(inst, closed, wrapped, i) - instantaneous_cost(
-            inst, numeric, wrapped, i
-        )
-        worst = max(worst, gap)
+        cost = instantaneous_cost(inst, closed, ServerLoads(loads), i)
+        length, work = Fraction(inst.job_lengths[i]), ex.exact(loads)
+        rates = ex.exact(inst.service_rates)
+        least = ex.wait([length * x for x in ex.respond(length, rates, work)], work, rates)
+        worst = max(worst, abs(Fraction(cost) - least) / least / ex.EPS)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 30.0
-    report(2, "closed form vs numeric oracle", ok, f"worst cost excess {worst:.2e}", elapsed)
-    assert worst <= 1e-6
+    ok = worst <= ex.COST and elapsed < 30.0
+    report(2, "closed form vs exact oracle", ok, f"worst cost gap {float(worst):.2f} eps", elapsed)
+    assert worst <= ex.COST
     assert elapsed < 30.0
 
 

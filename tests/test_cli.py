@@ -73,6 +73,33 @@ class TestDynamicCommand:
         # round index 299.
         assert "converged_at=299" in out
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                {"setting": "7"},
+                "mode=simultaneous steps=301 converged_at=299\n"
+                "full_support_bound=25 zero_load_bound=800 alternative_bound=300\n",
+            ),
+            (
+                {"instance": {"mu": [1], "lambda": [0.49, 0.49], "s0": [100]}},
+                "mode=simultaneous steps=5002 converged_at=5000\n"
+                "full_support_bound=100 zero_load_bound=10000 alternative_bound=5000\n",
+            ),
+        ],
+        ids=["setting-7", "near-critical"],
+    )
+    def test_simultaneous_prints_merged_bounds(self, capsys, config_file, source, expected):
+        # The bounds of the one player holding all the work, which is how the
+        # simultaneous mode drains; the near-critical run drains only under
+        # that instance's default horizon.
+        if "setting" in source:
+            argv = ["--setting", source["setting"]]
+        else:
+            argv = ["--config", config_file(source)]
+        code, out, err = run_cli(capsys, "dynamic", *argv, "--mode", "simul")
+        assert (code, out, err) == (0, expected, "")
+
     def test_infeasible_simultaneous_refused_with_reason(self, capsys, config_file):
         path = config_file(
             {

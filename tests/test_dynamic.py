@@ -35,6 +35,7 @@ from lbgame import (
 from lbgame import dynamic, model, static
 from lbgame.dynamic import StepRecord
 
+import exact as ex
 from conftest import random_instance
 
 
@@ -89,6 +90,15 @@ class TestRunConfig:
         inst = builtin_setting(5).instance
         cfg = DynamicRun(inst, "sequential", order="round-robin")
         assert cfg.max_steps == 10 * zero_load_time(inst)
+
+    def test_simultaneous_default_horizon_is_ten_times_the_merged_bound(self):
+        # Simultaneous mode drains as one player holding all the work, so its
+        # horizon comes from that merged instance: 10 x 10,000 steps here,
+        # where the instance's own sequential bound (393) gave too few.
+        inst = Instance([0.49, 0.49], [1.0], [100.0])
+        merged = Instance([inst.total_job_length], [1.0], [100.0])
+        assert zero_load_time(merged) == 10_000
+        assert DynamicRun(inst, "simultaneous").max_steps == 100_000
 
     def test_explicit_order_validated(self):
         inst = Instance([1.0, 1.0], [2.0], [1.0])
@@ -198,6 +208,43 @@ class TestSimultaneousRuns:
             if record.total_load > 0.0:
                 drop = record.loads_before.total - record.total_load
                 assert drop >= surplus - 1e-9
+
+    def test_setting_seven_drains_exactly_on_round_299(self):
+        # Exact merged run: the backlog of 60 falls by 4 - 3.8 = 0.2 a round
+        # (the float jobs sum to a hair below 3.8), so 300 drains empty it.
+        inst = builtin_setting(7).instance
+        lengths, rates, loads = ex.of(inst)
+        for t in range(301):
+            levels = [q / r for q, r in zip(loads, rates)]
+            loads = ex.drain(loads, ex.water_fill(sum(lengths), rates, levels), rates)
+            if not any(loads):
+                break
+        assert t == 299
+        assert run_simultaneous(DynamicRun(inst, "simultaneous")).converged_at == t
+
+
+@st.composite
+def near_critical_instances(draw):
+    """A simultaneous-stable instance with n, m <= 4, backlogs of up to 10
+    steps of each server's own work and a surplus 1 - sum(lambda)/sum(mu)
+    from 1e-2 to 0.5."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    rates = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    steps = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    surplus = draw(st.floats(1e-2, 0.5))
+    lengths = (1.0 - surplus) * rates.sum() * weights / weights.sum()
+    return Instance(lengths, rates, steps * rates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_critical_instances())
+def test_simultaneous_drains_within_the_merged_bounds(inst):
+    merged = Instance([inst.total_job_length], inst.service_rates, inst.initial_loads)
+    done = run_simultaneous(DynamicRun(inst, "simultaneous"))
+    assert done.converged_at is not None
+    assert done.converged_at <= min(zero_load_time(merged), zero_load_time_alt(merged))
 
 
 class TestSharedKernels:

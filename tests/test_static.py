@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from lbgame import (
     Instance,
     ServerLoads,
     best_response,
-    best_response_oracle,
     builtin_setting,
     empirical_poa,
     instantaneous_cost,
@@ -22,7 +22,6 @@ from lbgame import (
     player_costs,
     poa_upper_bound,
     potential,
-    project_to_simplex,
     run_sequential_pass,
     setting_instance,
     social_cost,
@@ -31,6 +30,7 @@ from lbgame import (
 from lbgame.model import _potential_matrix
 from lbgame.static import _pass
 
+import exact as ex
 from conftest import random_instance, random_profile
 
 
@@ -141,26 +141,19 @@ def test_best_response_stays_on_simplex(case):
     assert abs(fractions.sum() - 1.0) <= 1e-12
 
 
-class TestSimplexProjection:
-    def test_already_on_simplex(self):
-        x = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_to_simplex(x), x)
+class TestExactOracle:
+    """The closed form against the exact water-fill of ``exact.py``, within
+    the derived bounds ``exact.SPLIT`` and ``exact.COST``."""
 
-    def test_projects_off_simplex_points(self):
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            v = rng.normal(0, 2, int(rng.integers(1, 7)))
-            p = project_to_simplex(v)
-            assert np.all(p >= 0)
-            assert p.sum() == pytest.approx(1.0, abs=1e-9)
-            # projection is the closest simplex point: check against a few
-            # random simplex points
-            for _ in range(10):
-                q = rng.dirichlet(np.ones(v.size))
-                assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-12
+    @staticmethod
+    def assert_matches_exact(inst, i, loads):
+        fractions = best_response(inst, i, loads).action.fractions
+        split, cost = ex.response_errors(
+            inst.job_lengths[i], inst.service_rates, loads, fractions
+        )
+        assert split <= ex.SPLIT, float(split)
+        assert cost <= ex.COST, float(cost)
 
-
-class TestBestResponseOracle:
     def test_agrees_with_closed_form_on_worked_examples(self):
         cases = [
             (Instance([1.7], [2.0, 1.5, 1.0]), np.zeros(3)),
@@ -168,29 +161,22 @@ class TestBestResponseOracle:
             (Instance([1.0], [1.0, 1.0]), np.array([0.0, 10.0])),
         ]
         for inst, loads in cases:
-            closed = best_response(inst, 0, loads)
-            numeric = best_response_oracle(inst, 0, loads)
-            gap = response_cost(inst, 0, loads, numeric) - response_cost(
-                inst, 0, loads, closed.action
-            )
-            assert abs(gap) <= 1e-6
+            self.assert_matches_exact(inst, 0, loads)
 
     def test_single_server_returns_everything(self):
         inst = Instance([2.0], [1.0], [5.0])
-        numeric = best_response_oracle(inst, 0, [5.0])
-        assert np.array_equal(numeric.fractions, [1.0])
+        assert ex.respond(Fraction(2), [Fraction(1)], [Fraction(5)]) == [1]
+        assert np.array_equal(best_response(inst, 0, [5.0]).action.fractions, [1.0])
 
     def test_randomized_sweep_cost_gap(self):
+        # Jobs of 1e-8..1e2 against up to 12 servers holding up to 1e3 steps
+        # of work each, a fifth of them empty: kappa reaches 1e12.
         rng = np.random.default_rng(41)
-        for _ in range(40):
-            inst = random_instance(rng, max_servers=6)
-            i = int(rng.integers(inst.num_players))
-            loads = rng.uniform(0, 5, inst.num_servers)
-            closed = best_response(inst, i, loads).action
-            numeric = best_response_oracle(inst, i, loads)
-            assert response_cost(inst, i, loads, closed) <= response_cost(
-                inst, i, loads, numeric
-            ) + 1e-6
+        for _ in range(300):
+            m = int(rng.integers(1, 13))
+            rates = rng.uniform(0.1, 10.0, m)
+            loads = rng.uniform(0.0, 1e3, m) * rates * (rng.random(m) < 0.8)
+            self.assert_matches_exact(Instance([10 ** rng.uniform(-8, 2)], rates), 0, loads)
 
 
 class TestSequentialPass:
@@ -297,6 +283,53 @@ def test_incremental_pass_matches_reference(case):
     tolerance = 1e-12 * np.maximum(1.0, largest_queue / inst.job_lengths)
     assert np.all(np.abs(profile.matrix - matrix) <= tolerance[:, None])
     assert np.allclose(potentials, expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pass_case())
+def test_pass_matches_exact_pass(case):
+    inst, start, order = case
+    profile, potentials = run_sequential_pass(inst, initial=start, order=order)
+    lengths, rates, loads = ex.of(inst)
+    matrix, expected = ex.run_pass(lengths, rates, loads, start.matrix, order)
+    largest_queue = max(loads) + sum(lengths)
+    n = inst.num_players
+    for row, exact_row, length in zip(profile.matrix, matrix, lengths):
+        bound = ex.ROW * n * ex.kappa(largest_queue, length) * ex.EPS
+        assert ex.gap(row, exact_row) <= bound
+    for value, exact_value in zip(potentials, expected):
+        assert abs(Fraction(value) - exact_value) <= ex.POTENTIAL * ex.EPS * exact_value
+
+
+@settings(max_examples=100, deadline=None)
+@given(pass_case())
+def test_exact_pass_lands_on_the_water_fill(case):
+    # Exact facts, no tolerance: the pass's aggregate is the combined job
+    # water-filled over the backlogs, every server a player uses sits at the
+    # lowest normalized queue, and the last potential is the least one.
+    inst, start, order = case
+    lengths, rates, loads = ex.of(inst)
+    matrix, potentials = ex.run_pass(lengths, rates, loads, start.matrix, order)
+    filled = ex.combined_fill(lengths, rates, loads)
+    queued = ex.queued(lengths, loads, matrix)
+    assert queued == filled
+    normalized = [q / r for q, r in zip(queued, rates)]
+    lowest = min(normalized)
+    for row in matrix:
+        assert all(level == lowest for x, level in zip(row, normalized) if x > 0)
+    assert potentials[-1] == ex.potential(filled, rates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pass_case())
+def test_opt_lower_bound_is_the_least_potential_less_a_constant(case):
+    inst = case[0]
+    lengths, rates, loads = ex.of(inst)
+    least = ex.potential(ex.combined_fill(lengths, rates, loads), rates)
+    expected = ex.opt_lower_bound(lengths, rates, loads)
+    assert expected == least - sum(q * q / (2 * r) for q, r in zip(loads, rates))
+    kappa = ex.kappa(max(loads) + sum(lengths), sum(lengths))
+    assert abs(Fraction(opt_lower_bound(inst)) - expected) <= ex.OPT * kappa * ex.EPS * expected
 
 
 class TestRawKernels:
