@@ -28,7 +28,7 @@ for step, value in enumerate(potentials, start=1):
 
 check = is_nash(inst, profile, epsilon=1e-8)
 print("\npure equilibrium reached:", check.is_equilibrium)
-print("largest possible unilateral improvement:", f"{check.max_improvement:.2e}")
+print("bound on any unilateral improvement:", f"{check.max_improvement:.2e}")
 
 levels = normalized_loads(inst, profile)
 support = np.any(profile.matrix > 0, axis=0)

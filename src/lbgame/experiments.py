@@ -193,7 +193,8 @@ def setting_instance(setting: SettingSpec, seed: int | None = None) -> Instance:
 
 @dataclass(frozen=True, eq=False)
 class StaticPassResult:
-    """Outcome of one in-turn update pass on the one-shot game."""
+    """Outcome of one in-turn update pass on the one-shot game, with the
+    relative verdict of ``is_nash`` and its bound on any player's gain."""
 
     profile: ActionProfile
     potentials: tuple[float, ...]
@@ -224,8 +225,7 @@ class ExperimentReport:
 
 def _run_static(inst: Instance) -> StaticPassResult:
     profile, potentials = run_sequential_pass(inst)
-    check = is_nash(inst, profile)
-    return StaticPassResult(profile, tuple(potentials), check.is_equilibrium, check.max_improvement)
+    return StaticPassResult(profile, tuple(potentials), *is_nash(inst, profile))
 
 
 def run_experiment(

@@ -24,7 +24,7 @@ from .model import (
     _finite,
     _potential_of,
     _queues,
-    _wait,
+    normalized_loads,
     player_costs,
     social_cost,
 )
@@ -42,13 +42,23 @@ def water_fill(total: float, rates, levels):
     Returns ``(amounts, level, support_size, order)`` where ``amounts`` is
     per-channel work (zero outside the support), ``level`` the common
     normalized height on the support, and ``order`` the permutation used.
+    Input that would make the result NaN or inf raises ``ValueError``.
     """
     rates = np.asarray(rates, dtype=float)
     levels = np.asarray(levels, dtype=float)
-    if total <= 0:
-        raise ValueError("total work to spread must be positive")
+    if not 0 < total < np.inf:
+        raise ValueError("total work to spread must be finite and positive")
     if rates.size == 0:
         raise ValueError("need at least one channel")
+    if rates.ndim != 1 or levels.shape != rates.shape:
+        raise ValueError(f"{levels.size} levels for {rates.size} channels")
+    if not (np.all((rates > 0) & (rates < np.inf)) and np.all(np.isfinite(levels))):
+        raise ValueError("rates must be finite and positive, and levels finite")
+    return _water_fill(total, rates, levels)
+
+
+def _water_fill(total: float, rates: np.ndarray, levels: np.ndarray):
+    # ``water_fill`` unchecked, for callers whose inputs are valid by design.
     order = np.argsort(levels, kind="stable")
     # Heights above the lowest channel: a total far below the levels would
     # otherwise cancel against them and lose its low digits.
@@ -125,7 +135,7 @@ def best_response(inst: Instance, i: int, effective_loads) -> BestResponseResult
 def _respond(length: float, rates: np.ndarray, loads: np.ndarray):
     # Raw best-response kernel: no validation, no objects. ``loads`` must be
     # finite and nonnegative. Returns ``(fractions, level, support, order)``.
-    amounts, level, support, order = water_fill(length, rates, loads / rates)
+    amounts, level, support, order = _water_fill(length, rates, loads / rates)
     return amounts / length, level, support, order
 
 
@@ -194,36 +204,28 @@ def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
 
 
 class NashCheck(NamedTuple):
+    """:func:`is_nash`'s verdict and largest gap, a bound on any player's gain."""
+
     is_equilibrium: bool
     max_improvement: float
 
 
 def is_nash(inst: Instance, profile: ActionProfile, epsilon: float = 1e-8) -> NashCheck:
-    """Whether no player can cut its cost by more than ``epsilon`` by moving
-    alone. Also reports the largest improvement any player could make.
+    """Whether each player's first-order gap is within ``epsilon`` of its
+    own cost, a verdict that does not depend on units. Costs O(n·m).
 
-    Costs O(n·m log m): one water-fill per player, against the queues the
-    other players leave. A cost that is not finite, because the instance's
-    magnitudes overflow float64, raises ``ValueError``.
+    Cost is convex in a player's own work, with the normalized loads as
+    gradient, so the gap (its work times each used server's height above
+    the lowest level) bounds its gain from moving alone and is 0 exactly at
+    an equilibrium. A bad ``epsilon`` or float64 overflow raises ValueError.
     """
-    _check_profile(inst, profile)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    n = inst.num_players
-    if n == 0:
-        return NashCheck(True, 0.0)
-    lengths, rates = inst.job_lengths, inst.service_rates
     costs = player_costs(inst, profile)
-    work = lengths[:, None] * profile.matrix
-    queued = inst.initial_loads + work.sum(axis=0)
-    reachable = np.empty(n)
-    for i in range(n):
-        effective = np.maximum(queued - work[i], 0.0)
-        fractions = _respond(lengths[i], rates, effective)[0]
-        reachable[i] = _wait(lengths[i] * fractions, effective, rates)
-    improvements = _finite(costs - reachable, "player cost")
-    worst = max(0.0, float(improvements.max()))
-    return NashCheck(worst <= epsilon, worst)
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be finite and positive")
+    levels = normalized_loads(inst, profile)
+    work = inst.job_lengths[:, None] * profile.matrix
+    gaps = _finite(work @ (levels - levels.min()), "equilibrium gap")
+    return NashCheck(bool(np.all(gaps <= epsilon * costs)), float(gaps.max(initial=0.0)))
 
 
 def poa_upper_bound(inst: Instance) -> float:
@@ -250,9 +252,7 @@ def opt_lower_bound(inst: Instance) -> float:
     if inst.num_players < 1:
         raise ValueError("needs at least one player")
     rates = inst.service_rates
-    amounts, _, _, _ = water_fill(
-        inst.total_job_length, rates, inst.initial_loads / rates
-    )
+    amounts = _water_fill(inst.total_job_length, rates, inst.initial_loads / rates)[0]
     bound = float(np.sum((amounts**2 / 2.0 + inst.initial_loads * amounts) / rates))
     return _finite(bound, "optimum bound")
 
@@ -267,6 +267,6 @@ def empirical_poa(inst: Instance, ne_profile: ActionProfile, epsilon: float = 1e
     if not check.is_equilibrium:
         raise ValueError(
             "profile fails the equilibrium check: a unilateral move improves "
-            f"some cost by {check.max_improvement:.3e}"
+            f"some cost by up to {check.max_improvement:.3e}"
         )
     return social_cost(inst, ne_profile) / opt_lower_bound(inst)

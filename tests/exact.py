@@ -43,6 +43,22 @@ POTENTIAL = 4
 # OPT: opt_lower_bound is within 16*kappa*eps of exact, relative, with
 # kappa taken for the combined job. The same flat-optimum argument as COST.
 OPT = 16
+# GAP: is_nash's float gap of player i is below its exact gap by at most
+# 2*(n + m + 3)*eps*lambda_i*L, with L the largest normalized queue. Each
+# level sums n + 1 terms and divides once, so it is off by (n + 2)*eps*L;
+# a level less the lowest one is off by (2n + 5)*eps*L. The gap weights
+# these by work that sums to lambda_i, then rounds m products and sums them,
+# (m + 1)*eps relative on a gap of at most lambda_i*L. A float row sums to 1
+# within m*eps, and the exact improvement bound pays lambda_i*L for that
+# excess. In all 2n + 2m + 6.
+GAP = 2
+# SOCIAL: social_cost is within 3*(n + m + 4)*eps of the exact social cost
+# of the same float profile, relative. The queue ahead of a share is queued
+# work (n + 1 sums) less the share, off by (n + 2)*eps*queued; since queued
+# <= 2*(share/2 + ahead), each term moves by 2(n + 2)*eps relative, plus six
+# roundings of its own; summing the n*m positive terms adds n + m more. In
+# all 3n + m + 10, below 3*(n + m + 4).
+SOCIAL = 3
 
 
 def exact(values):
@@ -120,6 +136,13 @@ def run_pass(lengths, rates, loads, matrix, order):
         matrix[i] = respond(lengths[i], rates, queued(lengths, loads, others))
         potentials.append(potential(queued(lengths, loads, matrix), rates))
     return matrix, potentials
+
+
+def social_cost(lengths, rates, loads, matrix):
+    """Every player's wait behind the loads and the others' work, summed."""
+    total = queued(lengths, loads, matrix)
+    own = [[length * x for x in row] for length, row in zip(lengths, matrix)]
+    return sum(wait(w, [q - x for q, x in zip(total, w)], rates) for w in own)
 
 
 def combined_fill(lengths, rates, loads):

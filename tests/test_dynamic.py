@@ -21,6 +21,7 @@ from lbgame import (
     full_support_time,
     generate_instance,
     instantaneous_cost,
+    is_nash,
     per_arrival_costs,
     run_sequential,
     run_simultaneous,
@@ -643,3 +644,11 @@ def test_power_of_two_scaling_is_exact(case, mode, seed):
     assert base.converged_at == scaled.converged_at
     for bound in (full_support_time, zero_load_time, zero_load_time_alt):
         assert bound(inst) == bound(big)
+    # The one-shot game too: the same pass equilibrium, the same verdict
+    # and the gap bound in cost units, all exact.
+    profile, _ = run_sequential_pass(inst)
+    big_profile, _ = run_sequential_pass(big)
+    assert profile == big_profile
+    check, big_check = is_nash(inst, profile), is_nash(big, big_profile)
+    assert check.is_equilibrium == big_check.is_equilibrium
+    assert check.max_improvement * scale == big_check.max_improvement

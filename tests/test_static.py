@@ -387,6 +387,15 @@ class TestNonFiniteFailsLoudly:
         with pytest.raises(ValueError, match="cost is not finite"):
             is_nash(self.heavy, profile)
 
+    def test_nash_check_refuses_overflowing_gap(self):
+        # A gap can reach twice its player's cost: here the cost w**2/2 is
+        # 9.8e307, but the gap w**2 overflows.
+        inst = Instance([1.4e154], [1.0, 1.0])
+        profile = ActionProfile([[0.0, 1.0]])
+        assert np.isfinite(player_costs(inst, profile)).all()
+        with pytest.raises(ValueError, match="equilibrium gap is not finite"):
+            is_nash(inst, profile)
+
     def test_empirical_poa_refuses_overflowing_optimum(self):
         # The equilibrium is scale-free: the base instance's profile is one
         # for the scaled instance, and the check itself stays finite there.
@@ -448,6 +457,95 @@ class TestIsNash:
             ) / inst.service_rates[support].sum()
             assert np.all(np.abs(levels[support] - expected) <= 1e-7)
             assert np.all(levels[~support] >= expected - 1e-7)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_refuses_an_epsilon_that_is_not_finite_and_positive(self, epsilon):
+        inst = Instance([1.0, 2.0], [1.5, 2.5])
+        profile = ActionProfile.uniform(2, 2)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            is_nash(inst, profile, epsilon)
+
+    @pytest.mark.parametrize("sid", [2, 3, 4])
+    @pytest.mark.parametrize("k", [30, 60])
+    def test_pass_equilibria_hold_at_large_scales(self, sid, k):
+        # An absolute epsilon judged these non-equilibria: at 2**30 their
+        # float gains already exceed 1e-8, while relative to each player's
+        # cost they stay at rounding level.
+        inst = setting_instance(builtin_setting(sid), 0)
+        scale = 2.0**k
+        big = Instance(
+            inst.job_lengths * scale, inst.service_rates * scale, inst.initial_loads * scale
+        )
+        profile, _ = run_sequential_pass(big)
+        check = is_nash(big, profile)
+        assert check.is_equilibrium
+        assert check.max_improvement <= 1e-12 * player_costs(big, profile).min()
+        # Every cost scales by exactly 2**k, so the ratio is the unscaled one.
+        base, _ = run_sequential_pass(inst)
+        assert empirical_poa(big, profile) == empirical_poa(inst, base)
+
+    def test_tiny_scale_does_not_hide_an_improvement(self):
+        # Scaled by 1e-9, player 0's gain of 2.59e-9 fell below an absolute
+        # epsilon. Its gap is 0.56 of its cost: server 0 sits at 10.5 and
+        # server 1 at 3.3/0.7.
+        scale = 1e-9
+        inst = Instance(
+            np.array([0.5, 0.3]) * scale,
+            np.array([1.0, 0.7]) * scale,
+            np.array([10.0, 3.0]) * scale,
+        )
+        profile = ActionProfile(np.eye(2))
+        check = is_nash(inst, profile)
+        assert not check.is_equilibrium
+        ratio = check.max_improvement / player_costs(inst, profile)[0]
+        assert ratio == pytest.approx(0.5 * (10.5 - 3.3 / 0.7) / 5.125, rel=1e-12)
+
+
+@st.composite
+def random_profiles(draw, max_servers=6):
+    """n, m <= 6, jobs of 1e-8..1e2 over servers holding up to 1e3 steps of
+    work each, and a random profile with zero entries."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, max_servers))
+    rates = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    backlog = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    steps = np.array(draw(st.lists(backlog, min_size=m, max_size=m)))
+    lengths = draw(st.lists(st.floats(1e-8, 1e2), min_size=n, max_size=n))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = draw(st.lists(st.lists(weight, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = np.array(rows) + (np.sum(rows, axis=1, keepdims=True) == 0) * np.eye(1, m)
+    profile = ActionProfile(weights / weights.sum(axis=1, keepdims=True))
+    return Instance(lengths, rates, steps * rates), profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_profiles())
+def test_gap_bounds_every_unilateral_improvement(case):
+    # Against the exact queues the others leave, each player's exact best
+    # improvement stays below the float max_improvement, up to the derived
+    # rounding term exact.GAP.
+    inst, profile = case
+    check = is_nash(inst, profile)
+    lengths, rates, loads = ex.of(inst)
+    matrix = [ex.exact(row) for row in profile.matrix]
+    queued = ex.queued(lengths, loads, matrix)
+    top = max(q / r for q, r in zip(queued, rates))
+    n, m = inst.num_players, inst.num_servers
+    for length, row in zip(lengths, matrix):
+        own = [length * x for x in row]
+        ahead = [q - w for q, w in zip(queued, own)]
+        best = [length * x for x in ex.respond(length, rates, ahead)]
+        improvement = ex.wait(own, ahead, rates) - ex.wait(best, ahead, rates)
+        rounding = ex.GAP * (n + m + 3) * ex.EPS * length * top
+        assert improvement <= Fraction(check.max_improvement) + rounding
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_profiles(max_servers=1))
+def test_one_server_has_no_gap(case):
+    inst, profile = case
+    check = is_nash(inst, profile)
+    assert check == (True, 0.0)
 
 
 class TestPoaBounds:
@@ -518,6 +616,27 @@ class TestOptLowerBound:
             assert opt_lower_bound(inst) <= grid_best + 1e-9
             assert opt_lower_bound(inst) == pytest.approx(grid_best, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "total, rates, levels, match",
+        [
+            (float("nan"), [1.0, 2.0], [0.0, 1.0], "total work"),
+            (float("inf"), [1.0, 2.0], [0.0, 1.0], "total work"),
+            (0.0, [1.0, 2.0], [0.0, 1.0], "total work"),
+            (1.0, [], [], "at least one channel"),
+            (1.0, [1.0, 2.0], [0.0, float("nan")], "levels finite"),
+            (1.0, [1.0, 2.0], [0.0, float("inf")], "levels finite"),
+            (1.0, [1.0, -2.0], [0.0, 1.0], "rates must be finite and positive"),
+            (1.0, [1.0, 0.0], [0.0, 1.0], "rates must be finite and positive"),
+            (1.0, [1.0, float("inf")], [0.0, 1.0], "rates must be finite and positive"),
+            (1.0, [1.0, 2.0], [0.0], "1 levels for 2 channels"),
+        ],
+        ids=["nan-total", "inf-total", "zero-total", "no-channel", "nan-level",
+             "inf-level", "negative-rate", "zero-rate", "inf-rate", "short-levels"],
+    )
+    def test_water_fill_refuses_bad_input(self, total, rates, levels, match):
+        with pytest.raises(ValueError, match=match):
+            water_fill(total, rates, levels)
+
     def test_water_fill_amounts_respect_budget(self):
         rng = np.random.default_rng(67)
         inst = random_instance(rng)
@@ -555,3 +674,45 @@ class TestEmpiricalPoa:
             profile, _ = run_sequential_pass(inst)
             assert empirical_poa(inst, profile) <= poa_upper_bound(inst) + 1e-9
             assert social_cost(inst, profile) / opt_lower_bound(inst) >= 1.0 - 1e-9
+
+
+@st.composite
+def adversarial_games(draw):
+    """n, m <= 5 at the corners of the PoA bounds: one server, a near-stalled
+    server (mu = 1e-2), tiny jobs (1e-8..1e-6), backlogs up to 1e3 steps,
+    and lambda, mu and s0 scaled by 2**k, k in [-60, 60]."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.one_of(st.just(1), st.integers(2, 5)))
+    rates = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        rates[draw(st.integers(0, m - 1))] = 1e-2
+    job = st.floats(1e-8, 1e-6) if draw(st.booleans()) else st.floats(0.1, 2.0)
+    lengths = np.array(draw(st.lists(job, min_size=n, max_size=n)))
+    backlog = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    steps = np.array(draw(st.lists(backlog, min_size=m, max_size=m)))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return Instance(lengths * scale, rates * scale, steps * rates * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adversarial_games())
+def test_poa_lies_between_one_and_the_upper_bound(inst):
+    # Exactly, a profile's social cost is never below the relaxed optimum
+    # for the work it places. A float row sums to 1 only within a few eps,
+    # so that work can fall short of the total job: one job of 1 split 1/3,
+    # 2/3 over rates (1, 2) places 1 - 2**-54 of it. In floats the ratio may
+    # dip further by the rounding of both sides: exact.SOCIAL for the social
+    # cost, exact.OPT*kappa for the optimum and one division.
+    profile, _ = run_sequential_pass(inst)
+    lengths, rates, loads = ex.of(inst)
+    matrix = [ex.exact(row) for row in profile.matrix]
+    placed = [length * sum(row) for length, row in zip(lengths, matrix)]
+    least = ex.opt_lower_bound(placed, rates, loads)
+    assert ex.social_cost(lengths, rates, loads, matrix) >= least
+    n, m = inst.num_players, inst.num_servers
+    kappa = ex.kappa(max(loads) + sum(lengths), sum(lengths))
+    slack = (ex.SOCIAL * (n + m + 4) + ex.OPT * kappa + 1) * ex.EPS
+    floor = least / ex.opt_lower_bound(lengths, rates, loads)
+    ratio = empirical_poa(inst, profile)
+    assert Fraction(ratio) >= floor * (1 - slack)
+    assert ratio <= poa_upper_bound(inst)
