@@ -177,30 +177,32 @@ def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
     queues drain one step. Returns ``(action, new_loads, cost)``."""
     _check_player(inst, i)
     eff = _effective_loads(loads.loads, inst.num_servers)
-    matrix, after, (cost,) = _round(inst, eff, (i,))
-    return Action(matrix[0]), ServerLoads(after), float(cost)
+    fractions, after, cost = _round(inst, eff, i)
+    return Action(fractions), ServerLoads(after), float(cost)
 
 
-def _round(inst: Instance, loads: np.ndarray, arrivals: tuple[int, ...]):
-    # Raw kernel of one step in either mode: the ``arrivals`` settle on
-    # best responses to the observed ``loads``, each pays its wait against
-    # them, and the queues drain. Returns ``(matrix, after, costs)`` with one
-    # row and one cost per arrival. A lone arrival plays its best response
-    # directly: a pass over it alone lands on the same row at extra cost.
-    # Several arrivals must be every player, settled by one update pass.
+def _round(inst: Instance, loads: np.ndarray, i: int):
+    # Raw kernel of one step: player ``i`` plays its best response to the
+    # observed ``loads``, pays its wait against them, and the queues drain.
+    # Returns ``(fractions, after, cost)``.
+    length, rates = inst.job_lengths[i], inst.service_rates
+    fractions = _respond(float(length), rates, loads)[0]
+    work = length * fractions
+    return fractions, np.maximum(loads + work - rates, 0.0), _wait(work, loads, rates)
+
+
+def _split(inst: Instance, observed: np.ndarray):
+    # Every simultaneous round's per-player split at once: the in-turn pass
+    # from uniform rows over a (T, n, m) batch, one game per row of the
+    # (T, m) ``observed`` queues, then each player's wait against them.
+    # Returns the ``(arrivals, fractions, costs)`` columns.
     lengths, rates = inst.job_lengths, inst.service_rates
-    if len(arrivals) == 1:
-        (i,) = arrivals
-        matrix = _respond(float(lengths[i]), rates, loads)[0][None, :]
-        work = lengths[i] * matrix
-        incoming = work[0]
-    else:
-        matrix = np.full((len(arrivals), inst.num_servers), 1.0 / inst.num_servers)
-        for _ in _pass(inst, loads, matrix, arrivals):
-            pass
-        work = lengths[:, None] * matrix
-        incoming = lengths @ matrix
-    return matrix, np.maximum(loads + incoming - rates, 0.0), _wait(work, loads, rates)
+    steps, n, m = len(observed), inst.num_players, inst.num_servers
+    matrix = np.full((steps, n, m), 1.0 / m)
+    for _ in _pass(inst, observed, matrix, range(n)):
+        pass
+    costs = _wait(lengths[:, None] * matrix, observed[:, None], rates)
+    return np.tile(np.arange(n), (steps, 1)), matrix, costs
 
 
 def _arrival_at(run: DynamicRun, rng, t: int) -> int:
@@ -212,20 +214,22 @@ def _arrival_at(run: DynamicRun, rng, t: int) -> int:
 
 
 def _play(run: DynamicRun, mode: str) -> DynamicRun:
-    # The stepping loop shared by both modes: picks each step's arrivals,
-    # plays the raw ``_round`` and appends its arrays to the columns, which
-    # one ``Trace`` checks at the end without copying them.
+    # The one stepping loop: each step one arrival plays the raw ``_round``
+    # and its arrays are appended to the columns, which one ``Trace`` checks
+    # at the end without copying them. A simultaneous run steps the merged
+    # one-player instance, whose drain is every round's, then splits all
+    # rounds among the players at once.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
-    everyone = tuple(range(run.inst.num_players))
+    inst = _drain_instance(run.inst, mode)
     rng = np.random.default_rng(run.seed)
-    loads = run.inst.initial_loads
+    loads = inst.initial_loads
     columns: tuple[list, ...] = ([], [], [loads], [])
     candidate: int | None = None
     for t in range(run.max_steps):
-        arrivals = (_arrival_at(run, rng, t),) if mode == MODE_SEQUENTIAL else everyone
-        matrix, loads, costs = _round(run.inst, loads, arrivals)
-        for column, value in zip(columns, (arrivals, matrix, loads, costs)):
+        i = _arrival_at(run, rng, t) if mode == MODE_SEQUENTIAL else 0
+        fractions, loads, cost = _round(inst, loads, i)
+        for column, value in zip(columns, ((i,), fractions[None], loads, (cost,))):
             column.append(value)
         if not loads.any():
             if candidate is None:
@@ -234,7 +238,10 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
                 break
         else:
             candidate = None
-    return replace(run, trace=Trace(*map(np.asarray, columns)), converged_at=candidate)
+    arrivals, fractions, loads, costs = map(np.asarray, columns)
+    if mode == MODE_SIMULTANEOUS:
+        arrivals, fractions, costs = _split(run.inst, loads[:-1])
+    return replace(run, trace=Trace(arrivals, fractions, loads, costs), converged_at=candidate)
 
 
 def run_sequential(run: DynamicRun) -> DynamicRun:
@@ -253,8 +260,11 @@ def run_simultaneous(run: DynamicRun) -> DynamicRun:
     Each round, the players settle on mutually consistent splits for the
     queues they observe: the pure equilibrium of the one-shot game whose
     starting loads are the current state, reached by one in-turn update
-    pass. All the equilibrium allocations then hit the queues in a single
-    drain step.
+    pass from uniform rows. All the equilibrium allocations then hit the
+    queues in a single drain step. Every such equilibrium places the
+    water-fill of the combined job, so the queues are stepped as one player
+    holding all the work; the rounds' splits then come from one pass over
+    the batch of all rounds, each on its observed queues.
 
     Naive alternatives that react only to the previous round's co-player
     allocations herd onto the same servers and limit-cycle without ever

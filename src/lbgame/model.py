@@ -271,8 +271,12 @@ def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: in
 def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> np.ndarray:
     # The one copy of the wait formula: per row of ``work`` (summed over the
     # last axis), the average wait of that work joining queues that hold
-    # ``loads``. A 1-D ``work`` gives a 0-d result.
-    return np.sum(work * (work / (2.0 * rates) + loads / rates), axis=-1)
+    # ``loads``. A 1-D ``work`` gives a 0-d result. ``loads`` broadcasts to
+    # ``work``, and the terms build in place so a batch holds one temporary.
+    terms = work / (2.0 * rates)
+    terms += loads / rates
+    terms *= work
+    return np.sum(terms, axis=-1)
 
 
 def _potential_of(queued: np.ndarray, rates: np.ndarray) -> float:

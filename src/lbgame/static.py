@@ -83,6 +83,33 @@ def _water_fill(total: float, rates: np.ndarray, levels: np.ndarray):
     return amounts, float(base + level), support, order
 
 
+def _water_fill_rows(totals, rates: np.ndarray, levels: np.ndarray):
+    # ``_water_fill`` on each row of a (B, m) ``levels``, with ``totals`` a
+    # scalar or one total per row. The same operations in the same order per
+    # row, so every row gives the same bits as the 1-D kernel. Returns
+    # ``(amounts, level, support, order)`` with a leading axis of B.
+    order = np.argsort(levels, axis=-1, kind="stable")
+    base = np.take_along_axis(levels, order[:, :1], axis=-1)
+    heights = levels - base
+    sorted_rates = rates[order]
+    sorted_heights = np.take_along_axis(heights, order, axis=-1)
+    cum_rate = np.cumsum(sorted_rates, axis=-1)
+    cum_load = np.cumsum(sorted_rates * sorted_heights, axis=-1)
+    total = np.reshape(totals, (-1, 1))
+    # The last channel always stops the fill, so the first stop is the support.
+    stop = np.ones(levels.shape, dtype=bool)
+    stop[:, :-1] = sorted_heights[:, 1:] * cum_rate[:, :-1] >= total + cum_load[:, :-1]
+    support = stop.argmax(axis=-1) + 1
+    last = (support - 1)[:, None]
+    level = (total + np.take_along_axis(cum_load, last, axis=-1)) / np.take_along_axis(
+        cum_rate, last, axis=-1
+    )
+    chosen = np.empty(levels.shape, dtype=bool)
+    np.put_along_axis(chosen, order, np.arange(rates.size) < support[:, None], axis=-1)
+    amounts = np.where(chosen, np.maximum(rates * (level - heights), 0.0), 0.0)
+    return amounts, (base + level)[:, 0], support, order
+
+
 @dataclass(frozen=True, eq=False)
 class BestResponseResult:
     """A closed-form best response plus the water-filling facts behind it.
@@ -134,8 +161,11 @@ def best_response(inst: Instance, i: int, effective_loads) -> BestResponseResult
 
 def _respond(length: float, rates: np.ndarray, loads: np.ndarray):
     # Raw best-response kernel: no validation, no objects. ``loads`` must be
-    # finite and nonnegative. Returns ``(fractions, level, support, order)``.
-    amounts, level, support, order = _water_fill(length, rates, loads / rates)
+    # finite and nonnegative, one row of m or a (B, m) batch of them.
+    # Returns ``(fractions, level, support, order)``, batched like ``loads``.
+    # One row keeps the 1-D kernel, which is cheaper on a single row.
+    fill = _water_fill if loads.ndim == 1 else _water_fill_rows
+    amounts, level, support, order = fill(length, rates, loads / rates)
     return amounts / length, level, support, order
 
 
@@ -181,26 +211,28 @@ def run_sequential_pass(
 
 
 def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
-    # In-turn updates of ``matrix`` in place against the queued ``loads``.
-    # Keeps the running per-server totals of the players' work and yields
-    # them after each update; checks them for drift at the end. Only lambda
-    # and mu are read from ``inst``.
+    # In-turn updates of ``matrix`` in place against the queued ``loads``:
+    # an (n, m) profile on m loads, or a (B, n, m) batch of independent
+    # games, one per row of (B, m) loads. Keeps the running per-server
+    # totals of the players' work and yields them after each update; checks
+    # each game's totals for drift at the end. Only lambda and mu are read
+    # from ``inst``.
     lengths, rates = inst.job_lengths, inst.service_rates
     totals = lengths @ matrix
     for i in order:
-        length, row = lengths[i], matrix[i]
+        length, row = lengths[i], matrix[..., i, :]
         mine = length * row
         # Cancellation in ``totals - mine`` can leave -1e-16 where the other
         # players hold nothing; the water-fill needs nonnegative loads.
         effective = np.maximum(loads + (totals - mine), 0.0)
         fractions = _respond(length, rates, effective)[0]
         totals += length * fractions - mine
-        row[:] = fractions
+        row[...] = fractions
         yield totals
     fresh = lengths @ matrix
-    drift = float(np.max(np.abs(totals - fresh)))
-    if not drift <= 1e-9 * float(np.max(fresh)):
-        raise RuntimeError(f"running server totals drifted by {drift:.3e} over the pass")
+    drift = np.max(np.abs(totals - fresh), axis=-1)
+    if not np.all(drift <= 1e-9 * np.max(fresh, axis=-1)):
+        raise RuntimeError(f"running server totals drifted by {np.max(drift):.3e} over the pass")
 
 
 class NashCheck(NamedTuple):

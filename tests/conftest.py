@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lbgame import ActionProfile, Instance
+
+# Properties that leave ``max_examples`` to the profile run deeper in CI
+# (HYPOTHESIS_PROFILE=ci) than locally.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_instance(rng, max_players=8, max_servers=8, zero_loads=False):

@@ -181,7 +181,37 @@ class TestSequentialRuns:
                 assert record.total_load == 0.0
 
 
+def reference_simultaneous(inst, max_steps):
+    """The per-round simulation, the reference for the merged engine: each
+    round, one in-turn pass from uniform rows on the observed queues, then
+    the drain of the players' combined work. Returns the loads column and
+    ``converged_at`` under the engine's stopping rule."""
+    loads = ServerLoads(inst.initial_loads)
+    column, candidate = [loads.loads], None
+    for t in range(max_steps):
+        profile, _ = run_sequential_pass(Instance(inst.job_lengths, inst.service_rates, loads.loads))
+        loads = state_transition(inst, loads, inst.job_lengths @ profile.matrix)
+        column.append(loads.loads)
+        if loads.loads.any():
+            candidate = None
+        elif candidate is None:
+            candidate = t
+        else:
+            break
+    return np.array(column), candidate
+
+
 class TestSimultaneousRuns:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sid", [1, 3, 5, 6, 7])
+    def test_run_matches_the_per_round_reference(self, sid, seed):
+        inst = setting_instance(builtin_setting(sid), seed)
+        done = run_simultaneous(DynamicRun(inst, "simultaneous"))
+        loads, converged_at = reference_simultaneous(inst, done.max_steps)
+        assert done.converged_at == converged_at
+        assert done.trace.loads.shape == loads.shape
+        assert np.max(np.abs(done.trace.loads - loads)) <= 1e-13 * loads.max()
+
     def test_setting_one_converges_slower_than_sequential(self):
         inst = builtin_setting(1).instance
         seq = run_sequential(DynamicRun(inst, "sequential", order="random", seed=3))
@@ -266,8 +296,10 @@ class TestSharedKernels:
                 assert np.array_equal(action.fractions, row)
                 cost = instantaneous_cost(inst, Action(row), before, i)
                 assert record.instantaneous_costs[i] == cost
-            contributions = inst.job_lengths @ profile.matrix
-            assert record.loads_after == state_transition(inst, before, contributions)
+            # The queues drain as one player holding all the work: every
+            # equilibrium of the round places that player's water-fill.
+            merged = Instance([inst.total_job_length], inst.service_rates, before.loads)
+            assert record.loads_after == dynamic_step(merged, before, 0)[1]
 
     @pytest.mark.parametrize("sid", [5, 7])
     def test_sequential_record_is_dynamic_step(self, sid):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbgame import (
@@ -28,7 +28,7 @@ from lbgame import (
     water_fill,
 )
 from lbgame.model import _potential_matrix
-from lbgame.static import _pass
+from lbgame.static import _pass, _water_fill, _water_fill_rows
 
 import exact as ex
 from conftest import random_instance, random_profile
@@ -332,6 +332,73 @@ def test_opt_lower_bound_is_the_least_potential_less_a_constant(case):
     assert abs(Fraction(opt_lower_bound(inst)) - expected) <= ex.OPT * kappa * ex.EPS * expected
 
 
+@st.composite
+def fill_rows(draw):
+    """A batch of up to 6 rows of levels over up to 8 channels, one total
+    per row from 2^-30 to 2^30. Levels are either drawn freely or whole
+    multiples of one step, so rows hold ties; a small step under a large
+    total gives every channel work. Power-of-two rates and totals let a
+    fill end exactly on the next channel's level."""
+    m = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 6))
+    rate = st.one_of(st.floats(0.1, 10.0), st.sampled_from([0.5, 1.0, 2.0]))
+    rates = np.array(draw(st.lists(rate, min_size=m, max_size=m)))
+    row = st.lists(
+        st.one_of(st.floats(0.0, 10.0), st.integers(0, 3).map(float)), min_size=m, max_size=m
+    )
+    step = draw(st.sampled_from([1.0, 2.0**-20, 0.1]))
+    levels = np.array(draw(st.lists(row, min_size=b, max_size=b))) * step
+    exponent = st.one_of(st.floats(-30, 30), st.integers(-30, 30).map(float))
+    totals = 2.0 ** np.array(draw(st.lists(exponent, min_size=b, max_size=b)))
+    return totals, rates, levels
+
+
+@settings(deadline=None)
+@given(fill_rows())
+# Row 0's fill ends exactly on the second level: the fill stops there.
+@example((np.array([2.0, 2.0]), np.ones(3), np.array([[0.0, 2.0, 5.0], [0.0, 0.0, 1.0]])))
+def test_row_wise_water_fill_is_the_water_fill_on_every_row(case):
+    totals, rates, levels = case
+    amounts, level, support, order = _water_fill_rows(totals, rates, levels)
+    for b, total in enumerate(totals):
+        want_amounts, want_level, want_support, want_order = _water_fill(total, rates, levels[b])
+        assert amounts[b].tobytes() == want_amounts.tobytes()
+        assert level[b].tobytes() == np.float64(want_level).tobytes()
+        assert support[b] == want_support
+        assert np.array_equal(order[b], want_order)
+
+
+@st.composite
+def batched_games(draw):
+    """Up to 5 one-shot games that share up to 8 players and 8 servers but
+    not their queues (some empty) or their start profiles."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 5))
+    rates = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    lengths = draw(st.lists(st.floats(1e-8, 1e2), min_size=n, max_size=n))
+    backlog = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    steps = np.array(draw(st.lists(st.lists(backlog, min_size=m, max_size=m), min_size=b, max_size=b)))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=b * n * m, max_size=b * n * m)))
+    weights = weights.reshape(b, n, m)
+    start = weights / weights.sum(axis=-1, keepdims=True)
+    return Instance(lengths, rates), steps * rates, start, draw(st.permutations(range(n)))
+
+
+@settings(deadline=None)
+@given(batched_games())
+def test_batched_pass_is_each_game_passed_alone(case):
+    inst, loads, start, order = case
+    matrix = start.copy()
+    totals = [t.copy() for t in _pass(inst, loads, matrix, order)]
+    for b in range(len(loads)):
+        alone = start[b].copy()
+        alone_totals = [t.copy() for t in _pass(inst, loads[b], alone, order)]
+        assert matrix[b].tobytes() == alone.tobytes()
+        for batch_step, alone_step in zip(totals, alone_totals):
+            assert batch_step[b].tobytes() == alone_step.tobytes()
+
+
 class TestRawKernels:
     """The pass and the Nash check run on raw arrays: no per-player value
     objects, and running server totals that match a fresh sum."""
@@ -365,6 +432,14 @@ class TestRawKernels:
         with pytest.raises(RuntimeError, match="drifted"):
             for totals in _pass(inst, inst.initial_loads, matrix, [0, 1]):
                 totals[0] += 1e-3
+
+    def test_drift_guard_checks_every_game_of_a_batch(self):
+        inst = Instance([1.0, 2.0], [1.5, 2.5])
+        loads = np.array([[2.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+        matrix = np.full((3, 2, 2), 0.5)
+        with pytest.raises(RuntimeError, match="drifted"):
+            for totals in _pass(inst, loads, matrix, [0, 1]):
+                totals[2, 0] += 1e-3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
