@@ -29,6 +29,9 @@ MODE_SIMULTANEOUS = "simultaneous"
 # Largest trace a run may hold, counted in values over all columns.
 _MAX_TRACE_VALUES = 2**26
 
+# About how many values ``_settle`` prices at once.
+_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -177,32 +180,32 @@ def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
     queues drain one step. Returns ``(action, new_loads, cost)``."""
     _check_player(inst, i)
     eff = _effective_loads(loads.loads, inst.num_servers)
-    fractions, after, cost = _round(inst, eff, i)
-    return Action(fractions), ServerLoads(after), float(cost)
-
-
-def _round(inst: Instance, loads: np.ndarray, i: int):
-    # Raw kernel of one step: player ``i`` plays its best response to the
-    # observed ``loads``, pays its wait against them, and the queues drain.
-    # Returns ``(fractions, after, cost)``.
     length, rates = inst.job_lengths[i], inst.service_rates
-    fractions = _respond(float(length), rates, loads)[0]
+    fractions = _respond(float(length), rates, eff)[0]
     work = length * fractions
-    return fractions, np.maximum(loads + work - rates, 0.0), _wait(work, loads, rates)
+    after = np.maximum(eff + work - rates, 0.0)
+    return Action(fractions), ServerLoads(after), float(_wait(work, eff, rates))
 
 
-def _split(inst: Instance, observed: np.ndarray):
-    # Every simultaneous round's per-player split at once: the in-turn pass
-    # from uniform rows over a (T, n, m) batch, one game per row of the
-    # (T, m) ``observed`` queues, then each player's wait against them.
-    # Returns the ``(arrivals, fractions, costs)`` columns.
-    lengths, rates = inst.job_lengths, inst.service_rates
-    steps, n, m = len(observed), inst.num_players, inst.num_servers
-    matrix = np.full((steps, n, m), 1.0 / m)
-    for _ in _pass(inst, observed, matrix, range(n)):
-        pass
-    costs = _wait(lengths[:, None] * matrix, observed[:, None], rates)
-    return np.tile(np.arange(n), (steps, 1)), matrix, costs
+def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
+    # Every step's splits and waits from the (T, m) queues each step
+    # observed and the (T, k) arrivals: one arrival best-responds to its
+    # queues, and n arrivals settle by one in-turn pass from uniform rows
+    # over all T rounds at once (with one player the two agree). The rest
+    # runs in blocks of about ``_BLOCK`` values, bounding the temporaries.
+    (steps, k), m, rates = arrivals.shape, inst.num_servers, inst.service_rates
+    fractions, costs = np.full((steps, k, m), 1.0 / m), np.empty((steps, k))
+    if k > 1:
+        for _ in _pass(inst, observed, fractions, range(k)):
+            pass
+    rows = max(1, _BLOCK // (k * m))
+    for start in range(0, steps, rows):
+        block = slice(start, start + rows)
+        queues, lengths = observed[block], inst.job_lengths[arrivals[block], None]
+        if k == 1:
+            fractions[block, 0] = _respond(lengths[:, 0], rates, queues)[0]
+        costs[block] = _wait(lengths * fractions[block], queues[:, None], rates)
+    return fractions, costs
 
 
 def _arrival_at(run: DynamicRun, rng, t: int) -> int:
@@ -214,33 +217,33 @@ def _arrival_at(run: DynamicRun, rng, t: int) -> int:
 
 
 def _play(run: DynamicRun, mode: str) -> DynamicRun:
-    # The one stepping loop: each step one arrival plays the raw ``_round``
-    # and its arrays are appended to the columns, which one ``Trace`` checks
-    # at the end without copying them. A simultaneous run steps the merged
-    # one-player instance, whose drain is every round's, then splits all
-    # rounds among the players at once.
+    # The one stepping loop keeps only the arrivals and the loads: each step
+    # one arrival best-responds to the queues, which then drain. A
+    # simultaneous run steps the merged one-player instance, whose drain is
+    # every round's. ``_settle`` then prices all steps from the loads they
+    # observed, and one ``Trace`` checks the columns without copying them.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
     inst = _drain_instance(run.inst, mode)
+    lengths, rates = inst.job_lengths, inst.service_rates
     rng = np.random.default_rng(run.seed)
-    loads = inst.initial_loads
-    columns: tuple[list, ...] = ([], [], [loads], [])
-    candidate: int | None = None
+    arrivals, loads, candidate = [], [inst.initial_loads], None
     for t in range(run.max_steps):
         i = _arrival_at(run, rng, t) if mode == MODE_SEQUENTIAL else 0
-        fractions, loads, cost = _round(inst, loads, i)
-        for column, value in zip(columns, ((i,), fractions[None], loads, (cost,))):
-            column.append(value)
-        if not loads.any():
-            if candidate is None:
-                candidate = t
-            else:
-                break
-        else:
+        work = lengths[i] * _respond(float(lengths[i]), rates, loads[-1])[0]
+        loads.append(np.maximum(loads[-1] + work - rates, 0.0))
+        arrivals.append(i)
+        if loads[-1].any():
             candidate = None
-    arrivals, fractions, loads, costs = map(np.asarray, columns)
+        elif candidate is None:
+            candidate = t
+        else:
+            break
+    loads = np.asarray(loads)
+    arrivals = np.asarray(arrivals)[:, None]
     if mode == MODE_SIMULTANEOUS:
-        arrivals, fractions, costs = _split(run.inst, loads[:-1])
+        arrivals = np.tile(np.arange(run.inst.num_players), arrivals.shape)
+    fractions, costs = _settle(run.inst, loads[:-1], arrivals)
     return replace(run, trace=Trace(arrivals, fractions, loads, costs), converged_at=candidate)
 
 

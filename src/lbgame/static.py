@@ -159,11 +159,11 @@ def best_response(inst: Instance, i: int, effective_loads) -> BestResponseResult
     )
 
 
-def _respond(length: float, rates: np.ndarray, loads: np.ndarray):
+def _respond(length, rates: np.ndarray, loads: np.ndarray):
     # Raw best-response kernel: no validation, no objects. ``loads`` must be
-    # finite and nonnegative, one row of m or a (B, m) batch of them.
-    # Returns ``(fractions, level, support, order)``, batched like ``loads``.
-    # One row keeps the 1-D kernel, which is cheaper on a single row.
+    # finite and nonnegative: one row of m, or a (B, m) batch with one
+    # ``length`` or a (B, 1) column of them. Returns ``(fractions, level,
+    # support, order)`` batched like ``loads``; one row takes the cheaper 1-D kernel.
     fill = _water_fill if loads.ndim == 1 else _water_fill_rows
     amounts, level, support, order = fill(length, rates, loads / rates)
     return amounts / length, level, support, order

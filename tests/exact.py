@@ -36,10 +36,19 @@ COST = 16
 # n*eps*Q/lambda_i = n*kappa*eps. Their rounding errors have mixed signs,
 # which keeps the typical error far below the bound.
 ROW = 1
-# POTENTIAL: the pass's potentials are within 4*eps, relative. A sum of <= 12
-# positive squares, and each row error moves it only to second order, since
-# every row is a best response, flat to first order.
+# POTENTIAL, TOTALS: the pass's potential after each update is within
+# (POTENTIAL*P + TOTALS*n*Lambda*S)*eps of the exact P = sum q_j^2/(2 mu_j),
+# with q the exact queues, S = sum q_j/mu_j and Lambda the combined job. The
+# first term is the evaluation, a sum of <= 12 positive squares, and the row
+# errors, which move P only to second order since every row is a best
+# response, flat to first order. The second term comes from the running
+# server totals the pass takes P on: their rounding enters at first order,
+# dP/dq_j = q_j/mu_j. The start sums n products per server, off by
+# n*eps/2*Lambda; each update rounds its old and new work on the server,
+# their difference and the new total, four values of at most Lambda, so
+# 2*eps*Lambda per update and 5n/2*eps*Lambda per server after n of them.
 POTENTIAL = 4
+TOTALS = 3
 # OPT: opt_lower_bound is within 16*kappa*eps of exact, relative, with
 # kappa taken for the combined job. The same flat-optimum argument as COST.
 OPT = 16
@@ -127,15 +136,16 @@ def queued(lengths, loads, matrix):
 
 def run_pass(lengths, rates, loads, matrix, order):
     """The in-turn pass from scratch: each update rebuilds the other players'
-    work and each potential is summed afresh. ``matrix`` is the start, of
-    floats or Fractions. Returns ``(matrix, potentials)``."""
+    work and the queues are summed afresh after it. ``matrix`` is the start,
+    of floats or Fractions. Returns ``(matrix, queues)``, the queues after
+    each update."""
     matrix = [exact(row) for row in matrix]
-    potentials = []
+    queues = []
     for i in order:
         others = [row if k != i else [0] * len(rates) for k, row in enumerate(matrix)]
         matrix[i] = respond(lengths[i], rates, queued(lengths, loads, others))
-        potentials.append(potential(queued(lengths, loads, matrix), rates))
-    return matrix, potentials
+        queues.append(queued(lengths, loads, matrix))
+    return matrix, queues
 
 
 def social_cost(lengths, rates, loads, matrix):

@@ -301,9 +301,11 @@ class TestSharedKernels:
             merged = Instance([inst.total_job_length], inst.service_rates, before.loads)
             assert record.loads_after == dynamic_step(merged, before, 0)[1]
 
-    @pytest.mark.parametrize("sid", [5, 7])
+    # Generated settings 2, 3 and 4 put wide rows (m = 200, 50, 100) through
+    # the batched pricing of a sequential run.
+    @pytest.mark.parametrize("sid", [2, 3, 4, 5, 7])
     def test_sequential_record_is_dynamic_step(self, sid):
-        inst = builtin_setting(sid).instance
+        inst = setting_instance(builtin_setting(sid), 0)
         done = run_sequential(DynamicRun(inst, "sequential", order="random", seed=sid))
         for record in done.trace:
             (i,) = record.arrivals
@@ -339,6 +341,20 @@ class TestSharedKernels:
             assert action == want_action
             assert after == want_after
             assert cost == want_cost
+
+    @pytest.mark.parametrize("sid", [1, 3, 5, 7])
+    def test_pricing_block_size_changes_no_bit(self, sid, monkeypatch):
+        # Tiny blocks split every run's pricing into many blocks, down to one
+        # row where a row holds more values than a block.
+        inst = setting_instance(builtin_setting(sid), 0)
+        configs = (DynamicRun(inst, "sequential", seed=sid), DynamicRun(inst, "simultaneous"))
+        plays = (run_sequential, run_simultaneous)
+        default = [play(cfg) for play, cfg in zip(plays, configs)]
+        monkeypatch.setattr(dynamic, "_BLOCK", 16)
+        for play, cfg, want in zip(plays, configs, default):
+            done = play(cfg)
+            assert done.trace == want.trace
+            assert done.converged_at == want.converged_at
 
     @pytest.mark.parametrize("sid", [5, 7])
     def test_runs_reach_no_public_step_function(self, sid, monkeypatch):
