@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Action, InfeasibleError, Instance, ServerLoads
-from .model import _check_player, _finite, _queues, _rows_on_simplex, _wait
-from .static import _effective_loads, _pass, _respond
+from .model import Action, InfeasibleError, Instance, ServerLoads, _Record
+from .model import _check_player, _drain, _finite, _per_server, _queues, _rows_on_simplex, _wait
+from .static import _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
 ORDER_RANDOM = "random"
@@ -48,7 +48,7 @@ class StepRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(_Record):
     """A run's history as columns over T steps of k arrivals on m servers:
     ``arrivals`` and ``costs`` (T, k), ``fractions`` (T, k, m), and ``loads``
     (T+1, m), the start state then the state after each drain. The run is
@@ -71,9 +71,7 @@ class Trace:
             raise ValueError("trace columns disagree on the steps, arrivals or servers")
         _rows_on_simplex(_queues(fractions, "trace fractions"), "trace fractions")
         _queues(loads, "trace loads")
-        for name, column in zip(vars(self), (arrivals, fractions, loads, costs)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        self._set(arrivals=arrivals, fractions=fractions, loads=loads, costs=costs)
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -86,11 +84,6 @@ class Trace:
         actions = tuple(Action(row) for row in self.fractions[t])
         arrivals, costs = tuple(self.arrivals[t].tolist()), tuple(self.costs[t].tolist())
         return StepRecord(t, arrivals, actions, before, after, costs, after.total)
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +118,7 @@ class DynamicRun:
             raise ValueError("a run needs at least one player")
         if self.mode not in (MODE_SEQUENTIAL, MODE_SIMULTANEOUS):
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.mode == MODE_SEQUENTIAL and not inst.feasible_sequential:
-            raise InfeasibleError(
-                "infeasible under sequential updates: the largest job length "
-                "must stay below the total service rate "
-                f"({inst.max_job_length!r} >= {inst.total_service_rate!r})"
-            )
-        if self.mode == MODE_SIMULTANEOUS and not inst.feasible_simultaneous:
-            raise InfeasibleError(
-                "infeasible under simultaneous updates: the total arrival rate "
-                "exceeds the total service rate "
-                f"({inst.total_job_length!r} >= {inst.total_service_rate!r})"
-            )
+        drain = _stable(inst, self.mode, f"infeasible under {self.mode} updates")
         if isinstance(self.order, str):
             if self.order not in (ORDER_ROUND_ROBIN, ORDER_RANDOM):
                 raise ValueError(f"unknown order policy: {self.order!r}")
@@ -148,8 +130,7 @@ class DynamicRun:
                 _check_player(inst, i)
             object.__setattr__(self, "order", seq)
         if self.max_steps is None:
-            bound = zero_load_time(_drain_instance(inst, self.mode))
-            object.__setattr__(self, "max_steps", max(2, 10 * bound))
+            object.__setattr__(self, "max_steps", max(2, 10 * zero_load_time(drain)))
         else:
             try:
                 object.__setattr__(self, "max_steps", operator.index(self.max_steps))
@@ -179,12 +160,11 @@ def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
     """Player ``i`` arrives, best-responds to the observed queues, and the
     queues drain one step. Returns ``(action, new_loads, cost)``."""
     _check_player(inst, i)
-    eff = _effective_loads(loads.loads, inst.num_servers)
+    eff = _per_server(inst, loads, "loads")
     length, rates = inst.job_lengths[i], inst.service_rates
     fractions = _respond(float(length), rates, eff)[0]
     work = length * fractions
-    after = np.maximum(eff + work - rates, 0.0)
-    return Action(fractions), ServerLoads(after), float(_wait(work, eff, rates))
+    return Action(fractions), ServerLoads(_drain(eff, work, rates)), float(_wait(work, eff, rates))
 
 
 def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
@@ -231,7 +211,7 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
     for t in range(run.max_steps):
         i = _arrival_at(run, rng, t) if mode == MODE_SEQUENTIAL else 0
         work = lengths[i] * _respond(float(lengths[i]), rates, loads[-1])[0]
-        loads.append(np.maximum(loads[-1] + work - rates, 0.0))
+        loads.append(_drain(loads[-1], work, rates))
         arrivals.append(i)
         if loads[-1].any():
             candidate = None
@@ -286,6 +266,23 @@ def _drain_instance(inst: Instance, mode: str) -> Instance:
     return inst
 
 
+def _stable(inst: Instance, mode: str, what: str) -> Instance:
+    # The one stability check: the work one step brings, the largest job of
+    # ``mode``'s drain instance (returned), must stay below the total rate.
+    drain = _drain_instance(inst, mode)
+    if not drain.feasible_sequential:
+        work = (
+            "the total arrival rate exceeds"
+            if mode == MODE_SIMULTANEOUS
+            else "the largest job length must stay below"
+        )
+        raise InfeasibleError(
+            f"{what}: {work} the total service rate "
+            f"({drain.max_job_length!r} >= {drain.total_service_rate!r})"
+        )
+    return drain
+
+
 def full_support_time(inst: Instance) -> int:
     """Steps after which every best response must spread over all servers.
 
@@ -302,12 +299,7 @@ def zero_load_time(inst: Instance) -> int:
     After :func:`full_support_time`, each step removes at least the total
     service rate minus the largest job length from the total backlog.
     """
-    if not inst.feasible_sequential:
-        raise InfeasibleError(
-            "zero-load bound requires the largest job length to stay below "
-            f"the total service rate ({inst.max_job_length!r} >= "
-            f"{inst.total_service_rate!r})"
-        )
+    _stable(inst, MODE_SEQUENTIAL, "infeasible for the zero-load bound")
     lead = full_support_time(inst)
     backlog = float(inst.initial_loads.sum()) + lead * inst.max_job_length
     drain = inst.total_service_rate - inst.max_job_length
@@ -323,12 +315,7 @@ def zero_load_time_alt(inst: Instance) -> int:
     """
     if inst.num_players < 1:
         raise ValueError("needs at least one player")
-    if not inst.feasible_sequential:
-        raise InfeasibleError(
-            "alternative bound requires the largest job length to stay below "
-            f"the total service rate ({inst.max_job_length!r} >= "
-            f"{inst.total_service_rate!r})"
-        )
+    _stable(inst, MODE_SEQUENTIAL, "infeasible for the alternative bound")
     slowest = inst.min_service_rate
     decreases = [inst.total_service_rate - inst.max_job_length, slowest]
     if inst.num_servers > 1:

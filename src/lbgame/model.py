@@ -25,15 +25,15 @@ class InfeasibleError(ValueError):
     """A run mode's stability requirement does not hold for the instance."""
 
 
-def _vector(values, name: str, *, allow_empty: bool = False) -> np.ndarray:
+def _array(values, name: str, ndim: int = 1, *, allow_empty: bool = False) -> np.ndarray:
+    # A finite, nonnegative float copy of ``values`` with ``ndim`` axes, the
+    # last one nonempty unless ``allow_empty``.
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if arr.size == 0 and not allow_empty:
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.shape[-1] == 0 and not allow_empty:
         raise ValueError(f"{name} must not be empty")
-    _queues(arr, name)
-    arr.flags.writeable = False
-    return arr
+    return _queues(arr, name)
 
 
 def _queues(arr: np.ndarray, name: str) -> np.ndarray:
@@ -57,8 +57,24 @@ def _rows_on_simplex(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
+class _Record:
+    # Base of the frozen array records: their fields are read-only arrays,
+    # set by ``_set``, and two records of one type are equal when every
+    # field is array-equal. Records of different types never are.
+
+    def _set(self, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+
 @dataclass(frozen=True, eq=False)
-class Instance:
+class Instance(_Record):
     """Immutable parameters of one load-balancing game.
 
     job_lengths    work units per player's job, all positive
@@ -76,13 +92,12 @@ class Instance:
     initial_loads: np.ndarray | None = None
 
     def __post_init__(self):
-        lengths = _vector(self.job_lengths, "job_lengths", allow_empty=True)
-        rates = _vector(self.service_rates, "service_rates")
+        lengths = _array(self.job_lengths, "job_lengths", allow_empty=True)
+        rates = _array(self.service_rates, "service_rates")
         if self.initial_loads is None:
             loads = np.zeros(rates.size)
-            loads.flags.writeable = False
         else:
-            loads = _vector(self.initial_loads, "initial_loads")
+            loads = _array(self.initial_loads, "initial_loads")
         if np.any(lengths <= 0):
             raise ValueError("job_lengths must all be positive")
         if np.any(rates <= 0):
@@ -91,9 +106,7 @@ class Instance:
             raise ValueError(
                 f"initial_loads has {loads.size} entries for {rates.size} servers"
             )
-        object.__setattr__(self, "job_lengths", lengths)
-        object.__setattr__(self, "service_rates", rates)
-        object.__setattr__(self, "initial_loads", loads)
+        self._set(job_lengths=lengths, service_rates=rates, initial_loads=loads)
 
     @property
     def num_players(self) -> int:
@@ -137,47 +150,25 @@ class Instance:
         """Stability when every player sends per step: total work < total rate."""
         return self.total_job_length < self.total_service_rate
 
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            np.array_equal(self.job_lengths, other.job_lengths)
-            and np.array_equal(self.service_rates, other.service_rates)
-            and np.array_equal(self.initial_loads, other.initial_loads)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class Action:
+class Action(_Record):
     """One player's split of its job: a point on the probability simplex."""
 
     fractions: np.ndarray
 
     def __post_init__(self):
-        arr = _rows_on_simplex(_vector(self.fractions, "action"), "action")
-        object.__setattr__(self, "fractions", arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, Action):
-            return NotImplemented
-        return np.array_equal(self.fractions, other.fractions)
+        self._set(fractions=_rows_on_simplex(_array(self.fractions, "action"), "action"))
 
 
 @dataclass(frozen=True, eq=False)
-class ActionProfile:
+class ActionProfile(_Record):
     """All players' splits as a row-stochastic matrix, one row per player."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError(f"profile matrix must be 2-D, got shape {mat.shape}")
-        if mat.shape[1] == 0:
-            raise ValueError("profile matrix needs at least one server column")
-        _rows_on_simplex(_queues(mat, "profile"), "profile")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        self._set(matrix=_rows_on_simplex(_array(self.matrix, "profile", 2), "profile"))
 
     @classmethod
     def uniform(cls, num_players: int, num_servers: int) -> "ActionProfile":
@@ -192,29 +183,19 @@ class ActionProfile:
     def num_servers(self) -> int:
         return self.matrix.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, ActionProfile):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
-
 
 @dataclass(frozen=True, eq=False)
-class ServerLoads:
+class ServerLoads(_Record):
     """Current queue length per server, in work units."""
 
     loads: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "loads", _vector(self.loads, "server loads"))
+        self._set(loads=_array(self.loads, "server loads"))
 
     @property
     def total(self) -> float:
         return float(self.loads.sum())
-
-    def __eq__(self, other):
-        if not isinstance(other, ServerLoads):
-            return NotImplemented
-        return np.array_equal(self.loads, other.loads)
 
 
 def _check_profile(inst: Instance, profile: ActionProfile) -> None:
@@ -228,6 +209,21 @@ def _check_profile(inst: Instance, profile: ActionProfile) -> None:
 def _check_player(inst: Instance, i: int) -> None:
     if not 0 <= i < inst.num_players:
         raise IndexError(f"player index {i} out of range for {inst.num_players} players")
+
+
+def _per_server(inst: Instance, values, name: str) -> np.ndarray:
+    # The one check of a per-server vector at the API boundary: a
+    # ``ServerLoads`` or anything array-like, of shape (m,), finite and
+    # nonnegative. Copies nothing that already is a float64 array.
+    arr = np.asarray(values.loads if isinstance(values, ServerLoads) else values, dtype=float)
+    if arr.shape != (inst.num_servers,):
+        raise ValueError(f"{name} length does not match the number of servers")
+    return _queues(arr, name)
+
+
+def _drain(loads: np.ndarray, work: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    # The one copy of the drain step of :func:`state_transition`.
+    return np.maximum(loads + work - rates, 0.0)
 
 
 def _finite(value, what: str):
@@ -261,11 +257,8 @@ def player_cost(inst: Instance, profile: ActionProfile, i: int) -> float:
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:
     """Average wait time of player ``i``'s job against fixed queue loads."""
     _check_player(inst, i)
-    if action.fractions.size != inst.num_servers:
-        raise ValueError("action length does not match the number of servers")
-    if loads.loads.size != inst.num_servers:
-        raise ValueError("loads length does not match the number of servers")
-    return float(_wait(inst.job_lengths[i] * action.fractions, loads.loads, inst.service_rates))
+    work = inst.job_lengths[i] * _per_server(inst, action.fractions, "action")
+    return float(_wait(work, _per_server(inst, loads, "loads"), inst.service_rates))
 
 
 def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -300,13 +293,8 @@ def potential(inst: Instance, profile: ActionProfile) -> float:
 def state_transition(inst: Instance, loads: ServerLoads, contributions) -> ServerLoads:
     """One drain step: each queue gains its incoming work, loses one step of
     service, and is clamped at empty."""
-    contrib = np.asarray(contributions, dtype=float)
-    if contrib.shape != (inst.num_servers,):
-        raise ValueError("contributions length does not match the number of servers")
-    _queues(contrib, "contributions")
-    if loads.loads.size != inst.num_servers:
-        raise ValueError("loads length does not match the number of servers")
-    return ServerLoads(np.maximum(loads.loads + contrib - inst.service_rates, 0.0))
+    contrib = _per_server(inst, contributions, "contributions")
+    return ServerLoads(_drain(_per_server(inst, loads, "loads"), contrib, inst.service_rates))
 
 
 def normalized_loads(inst: Instance, profile: ActionProfile) -> np.ndarray:

@@ -278,6 +278,49 @@ def test_simultaneous_drains_within_the_merged_bounds(inst):
     assert done.converged_at <= min(zero_load_time(merged), zero_load_time_alt(merged))
 
 
+@st.composite
+def stability_edges(draw):
+    """lambda, mu and s0 on a grid of 1/8, so every sum is exact, with the
+    largest job or the total work often exactly equal to the total rate."""
+    rates = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    loads = draw(st.lists(st.integers(0, 16), min_size=len(rates), max_size=len(rates)))
+    edge = draw(st.sampled_from(["none", "largest", "total"]))
+    if edge == "largest":
+        lengths[0] = sum(rates)
+    elif edge == "total" and sum(lengths[:-1]) < sum(rates):
+        lengths[-1] = sum(rates) - sum(lengths[:-1])
+    return Instance(np.array(lengths) / 8, np.array(rates) / 8, np.array(loads) / 8)
+
+
+# What each mode's refusal names: the work one step brings.
+REFUSALS = {
+    "sequential": "the largest job length must stay below the total service rate",
+    "simultaneous": "the total arrival rate exceeds the total service rate",
+}
+
+
+@settings(deadline=None)
+@given(stability_edges(), st.sampled_from(sorted(REFUSALS)))
+def test_runs_and_bounds_share_one_stability_rule(inst, mode):
+    # A run is refused exactly when the bounds of its drain instance are:
+    # when the largest job (sequential) or the total work (simultaneous)
+    # reaches the total service rate.
+    drain = dynamic._drain_instance(inst, mode)
+    work = inst.max_job_length if mode == "sequential" else inst.total_job_length
+    checks = [
+        (lambda: DynamicRun(inst, mode, max_steps=1), REFUSALS[mode]),
+        (lambda: zero_load_time(drain), "zero-load bound"),
+        (lambda: zero_load_time_alt(drain), "alternative bound"),
+    ]
+    for call, match in checks:
+        if work >= inst.total_service_rate:
+            with pytest.raises(InfeasibleError, match=match):
+                call()
+        else:
+            call()
+
+
 class TestSharedKernels:
     """Both run modes share one stepping loop; each recorded step must still
     be the public one-step computation of its mode."""

@@ -6,6 +6,7 @@ from lbgame import (
     ActionProfile,
     Instance,
     ServerLoads,
+    Trace,
     instantaneous_cost,
     normalized_loads,
     player_cost,
@@ -98,6 +99,77 @@ class TestActionTypes:
         ServerLoads([0.0, 1.5])
         with pytest.raises(ValueError):
             ServerLoads([-0.1, 1.0])
+
+
+# Each array record with the fields of one valid value, and a changed value
+# for each field that keeps the record valid.
+RECORDS = [
+    (
+        Instance,
+        dict(job_lengths=[1.0, 2.0], service_rates=[1.5, 2.5], initial_loads=[2.0, 4.0]),
+        dict(job_lengths=[1.0, 3.0], service_rates=[1.5, 3.0], initial_loads=[2.0, 5.0]),
+    ),
+    (Action, dict(fractions=[0.25, 0.75]), dict(fractions=[0.5, 0.5])),
+    (
+        ActionProfile,
+        dict(matrix=[[0.25, 0.75], [1.0, 0.0]]),
+        dict(matrix=[[0.25, 0.75], [0.5, 0.5]]),
+    ),
+    (ServerLoads, dict(loads=[0.25, 0.75]), dict(loads=[0.25, 1.75])),
+    (
+        Trace,
+        dict(
+            arrivals=[[0], [1]],
+            fractions=[[[0.5, 0.5]], [[1.0, 0.0]]],
+            loads=[[1.0, 2.0], [0.5, 1.0], [0.0, 0.0]],
+            costs=[[1.0], [0.5]],
+        ),
+        dict(
+            arrivals=[[0], [0]],
+            fractions=[[[0.5, 0.5]], [[0.0, 1.0]]],
+            loads=[[1.0, 2.0], [0.5, 1.5], [0.0, 0.0]],
+            costs=[[1.0], [0.75]],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,fields,changed", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestArrayRecords:
+    """The array records share one base: read-only array fields and
+    field-wise array equality within one type."""
+
+    def test_equal_arrays_compare_equal(self, cls, fields, changed):
+        a, b = cls(**fields), cls(**{k: np.array(v) for k, v in fields.items()})
+        assert a == b and not a != b
+
+    def test_one_changed_field_compares_unequal(self, cls, fields, changed):
+        base = cls(**fields)
+        for name, value in changed.items():
+            other = cls(**{**fields, name: value})
+            assert base != other and not base == other, name
+
+    def test_every_field_is_read_only(self, cls, fields, changed):
+        record = cls(**fields)
+        for name in fields:
+            column = getattr(record, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column.flat[0] = 0
+
+
+def test_default_initial_loads_are_read_only():
+    loads = Instance([1.0], [1.0, 2.0]).initial_loads
+    assert not loads.flags.writeable
+    with pytest.raises(ValueError):
+        loads[0] = 1.0
+
+
+def test_records_of_different_types_never_compare_equal():
+    vector = [0.25, 0.75]
+    action, loads = Action(vector), ServerLoads(vector)
+    assert action != loads and loads != action
+    assert not action == loads and not loads == action
 
 
 class TestPlayerCost:
