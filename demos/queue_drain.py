@@ -42,21 +42,22 @@ print(f"alternative bound      : {alt} steps")
 done = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
 print(f"\nqueues actually empty at step {done.converged_at}")
 
+# The trace holds columns over the steps: ``loads`` after each drain (its
+# row 0 is the start), and per arrival its ``fractions`` and ``costs``.
+trace = done.trace
 marks = sorted({0, lead // 2, lead, (lead + done.converged_at) // 2, done.converged_at})
 for t in marks:
-    record = done.trace[t]
-    used = int(np.count_nonzero(record.actions[0].fractions > 0))
+    used = int(np.count_nonzero(trace.fractions[t, 0] > 0))
     print(
-        f"  step {t:3d}: total load {record.total_load:7.3f}, "
+        f"  step {t:3d}: total load {trace.loads[t + 1].sum():7.3f}, "
         f"arrival used {used}/{inst.num_servers} servers"
     )
 
-last = done.trace[-1]
 share = inst.service_rates / inst.total_service_rate
-steady = inst.job_lengths[last.arrivals[0]] ** 2 / (2 * inst.total_service_rate)
-print("\npost-drain split   :", last.actions[0].fractions)
+steady = inst.job_lengths[trace.arrivals[-1, 0]] ** 2 / (2 * inst.total_service_rate)
+print("\npost-drain split   :", trace.fractions[-1, 0])
 print("rate-proportional  :", share)
-print("steady arrival cost:", last.instantaneous_costs[0], "expected", steady)
+print("steady arrival cost:", trace.costs[-1, 0], "expected", steady)
 
 out = Path(__file__).with_name("queue_drain_trace.csv")
 export_trace(run_experiment(setting, seed=0, modes=("sequential",)), out)

@@ -23,7 +23,8 @@ crowded = Instance(
     initial_loads=[10, 10, 10, 10, 5, 4, 4, 1],
 )
 print("\ncrowded instance: total jobs", crowded.total_job_length, "vs capacity", crowded.total_service_rate)
-print("one at a time feasible:", crowded.feasible_sequential)
+seq = run_sequential(DynamicRun(crowded, "sequential", order="random", seed=0))
+print("one at a time drains  : at step", seq.converged_at)
 try:
     DynamicRun(crowded, "simultaneous")
 except InfeasibleError as exc:

@@ -42,10 +42,8 @@ from .dynamic import (
     Trace,
     dynamic_step,
     full_support_time,
-    per_arrival_costs,
     run_sequential,
     run_simultaneous,
-    running_average_cost,
     zero_load_time,
     zero_load_time_alt,
 )
@@ -54,7 +52,6 @@ from .experiments import (
     GeneratorSpec,
     SettingSpec,
     StaticPassResult,
-    average_load_series,
     builtin_setting,
     builtin_settings,
     convergence_grid,
@@ -63,7 +60,6 @@ from .experiments import (
     load_trace_jsonl,
     run_experiment,
     setting_instance,
-    support_sizes,
     write_trace_csv,
     write_trace_jsonl,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "StaticPassResult",
     "StepRecord",
     "Trace",
-    "average_load_series",
     "best_response",
     "builtin_setting",
     "builtin_settings",
@@ -98,7 +93,6 @@ __all__ = [
     "load_trace_jsonl",
     "normalized_loads",
     "opt_lower_bound",
-    "per_arrival_costs",
     "player_cost",
     "player_costs",
     "poa_upper_bound",
@@ -107,11 +101,9 @@ __all__ = [
     "run_sequential",
     "run_sequential_pass",
     "run_simultaneous",
-    "running_average_cost",
     "setting_instance",
     "social_cost",
     "state_transition",
-    "support_sizes",
     "water_fill",
     "write_trace_csv",
     "write_trace_jsonl",

@@ -15,6 +15,8 @@ import secrets
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .dynamic import (
     MODE_SEQUENTIAL,
     MODE_SIMULTANEOUS,
@@ -321,7 +323,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # An overflow fails as one error line, without numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ConfigError, InfeasibleError, ValueError, IndexError, OSError) as exc:

@@ -270,7 +270,7 @@ def _stable(inst: Instance, mode: str, what: str) -> Instance:
     # The one stability check: the work one step brings, the largest job of
     # ``mode``'s drain instance (returned), must stay below the total rate.
     drain = _drain_instance(inst, mode)
-    if not drain.feasible_sequential:
+    if not drain.max_job_length < drain.total_service_rate:
         work = (
             "the total arrival rate exceeds"
             if mode == MODE_SIMULTANEOUS
@@ -290,7 +290,8 @@ def full_support_time(inst: Instance) -> int:
     this step every queue has either emptied (and an empty server always
     gets a share) or already joined the receiving set, which only grows.
     """
-    return int(np.max(np.ceil(inst.initial_loads / inst.service_rates), initial=0.0))
+    lead = np.max(np.ceil(inst.initial_loads / inst.service_rates), initial=0.0)
+    return int(_finite(lead, "the full-support bound"))
 
 
 def zero_load_time(inst: Instance) -> int:
@@ -303,7 +304,7 @@ def zero_load_time(inst: Instance) -> int:
     lead = full_support_time(inst)
     backlog = float(inst.initial_loads.sum()) + lead * inst.max_job_length
     drain = inst.total_service_rate - inst.max_job_length
-    return math.ceil(lead + backlog / drain)
+    return math.ceil(_finite(lead + backlog / drain, "the zero-load bound"))
 
 
 def zero_load_time_alt(inst: Instance) -> int:
@@ -323,22 +324,5 @@ def zero_load_time_alt(inst: Instance) -> int:
             slowest * inst.min_job_length / (inst.total_service_rate - slowest)
         )
     backlog = float(inst.initial_loads.sum())
-    return math.ceil(backlog / min(decreases))
+    return math.ceil(_finite(backlog / min(decreases), "the alternative bound"))
 
-
-def running_average_cost(run: DynamicRun, i: int) -> np.ndarray:
-    """Running mean of player ``i``'s per-step cost over the trace.
-
-    Steps where the player did not schedule contribute zero. Over a long
-    horizon the mean settles at the zero-queue arrival cost scaled by how
-    often the player arrives.
-    """
-    _check_player(run.inst, i)
-    costs = np.where(run.trace.arrivals == i, run.trace.costs, 0.0).sum(axis=1)
-    return np.cumsum(costs) / np.arange(1, costs.size + 1)
-
-
-def per_arrival_costs(run: DynamicRun, i: int) -> np.ndarray:
-    """The costs player ``i`` actually paid, one entry per arrival."""
-    _check_player(run.inst, i)
-    return run.trace.costs[run.trace.arrivals == i]

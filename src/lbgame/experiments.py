@@ -20,6 +20,7 @@ from .dynamic import (
     MODE_SIMULTANEOUS,
     DynamicRun,
     Trace,
+    _stable,
     run_sequential,
     run_simultaneous,
 )
@@ -157,12 +158,13 @@ def generate_instance(
 ) -> Instance:
     """Sample an instance from the recipe, deterministically for a seed.
 
-    Re-draws until the instance passes validation and the sequential
-    stability condition (plus the simultaneous one when requested), and
+    Re-draws until the instance passes validation and the stability check
+    of sequential runs (and of simultaneous ones when requested), and
     fails after 100 tries.
     """
     if seed is None:
         raise ValueError("a seed is required to generate an instance")
+    modes = (MODE_SEQUENTIAL, MODE_SIMULTANEOUS) if require_simultaneous else (MODE_SEQUENTIAL,)
     rng = np.random.default_rng(int(seed))
     for _ in range(_ATTEMPTS):
         rates = rng.uniform(*spec.service_rate_range, spec.num_servers)
@@ -170,11 +172,9 @@ def generate_instance(
         loads = rng.uniform(*spec.initial_load_range, spec.num_servers)
         try:
             inst = Instance(lengths, rates, loads)
+            for mode in modes:
+                _stable(inst, mode, "generated instance")
         except ValueError:
-            continue
-        if not inst.feasible_sequential:
-            continue
-        if require_simultaneous and not inst.feasible_simultaneous:
             continue
         return inst
     raise ValueError(f"could not generate a feasible instance in {_ATTEMPTS} attempts")
@@ -215,12 +215,8 @@ class ExperimentReport:
 
     @property
     def runs(self) -> dict[str, DynamicRun]:
-        out = {}
-        if self.sequential is not None:
-            out[MODE_SEQUENTIAL] = self.sequential
-        if self.simultaneous is not None:
-            out[MODE_SIMULTANEOUS] = self.simultaneous
-        return out
+        runs = {MODE_SEQUENTIAL: self.sequential, MODE_SIMULTANEOUS: self.simultaneous}
+        return {mode: run for mode, run in runs.items() if run is not None}
 
 
 def _run_static(inst: Instance) -> StaticPassResult:
@@ -266,16 +262,6 @@ def run_experiment(
         sequential=results.get(MODE_SEQUENTIAL),
         simultaneous=results.get(MODE_SIMULTANEOUS),
     )
-
-
-def average_load_series(run: DynamicRun) -> np.ndarray:
-    """Mean queue load per step, after each step's drain."""
-    return run.trace.loads[1:].mean(axis=1)
-
-
-def support_sizes(run: DynamicRun) -> list[tuple[int, ...]]:
-    """Per step, how many servers each arriving player actually used."""
-    return list(map(tuple, np.count_nonzero(run.trace.fractions > 0, axis=2).tolist()))
 
 
 def convergence_grid(

@@ -129,26 +129,12 @@ class Instance(_Record):
         return float(self.service_rates.min())
 
     @property
-    def max_service_rate(self) -> float:
-        return float(self.service_rates.max())
-
-    @property
     def total_service_rate(self) -> float:
         return float(self.service_rates.sum())
 
     @property
     def total_job_length(self) -> float:
         return float(self.job_lengths.sum())
-
-    @property
-    def feasible_sequential(self) -> bool:
-        """Stability when one job arrives per step: largest job < total rate."""
-        return self.max_job_length < self.total_service_rate
-
-    @property
-    def feasible_simultaneous(self) -> bool:
-        """Stability when every player sends per step: total work < total rate."""
-        return self.total_job_length < self.total_service_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +160,6 @@ class ActionProfile(_Record):
     def uniform(cls, num_players: int, num_servers: int) -> "ActionProfile":
         """The all-1/m starting profile used by the update dynamics."""
         return cls(np.full((num_players, num_servers), 1.0 / num_servers))
-
-    @property
-    def num_players(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_servers(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,7 +100,7 @@ class TestDynamicCommand:
         code, out, err = run_cli(capsys, "dynamic", *argv, "--mode", "simul")
         assert (code, out, err) == (0, expected, "")
 
-    def test_infeasible_simultaneous_refused_with_reason(self, capsys, config_file):
+    def test_unstable_simultaneous_refused_with_reason(self, capsys, config_file):
         path = config_file(
             {
                 "instance": {
@@ -255,6 +255,30 @@ class TestErrorSurface:
         code, out, err = run_cli(capsys, "static", "--config", str(path))
         assert code == 1
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"mu": [1e-10, 1.0], "lambda": [0.5], "s0": [1e300, 0]},
+            {"mu": [1.0000000000000002], "lambda": [1.0], "s0": [1e300]},
+        ],
+        ids=["stalled", "critical"],
+    )
+    def test_overflowing_bound_is_one_line(self, capsys, config_file, instance):
+        path = config_file({"instance": instance})
+        code, out, err = run_cli(capsys, "dynamic", "--config", path, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert "bound is not finite" in err
+
+    @pytest.mark.parametrize("command", ["static", "poa"])
+    def test_overflow_is_one_line(self, capsys, config_file, command):
+        # numpy's overflow warnings would print before the error line
+        instance = {"mu": [1e160, 0.7e160], "lambda": [0.5e160, 0.3e160], "s0": [10e160, 3e160]}
+        code, out, err = run_cli(capsys, command, "--config", config_file({"instance": instance}))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert "overflow float64" in err
 
 
 def test_console_entry_point_runs():

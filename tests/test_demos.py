@@ -14,6 +14,7 @@ def test_demo_runs(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)],
+        env=env, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stderr) == (0, "")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from lbgame import (
     Instance,
     ServerLoads,
     Trace,
-    average_load_series,
     builtin_setting,
     builtin_settings,
     convergence_grid,
@@ -19,7 +19,6 @@ from lbgame import (
     run_experiment,
     run_sequential,
     setting_instance,
-    support_sizes,
     write_trace_csv,
     write_trace_jsonl,
 )
@@ -86,6 +85,19 @@ class TestCatalog:
             builtin_setting(9)
 
 
+# sha256 of generate_instance's draws over seeds 0-7, per catalog recipe and
+# require_simultaneous flag: a change to the draws or to the stability rule
+# they must meet changes them. Settings 2 and 4 refuse the simultaneous flag.
+DRAW_DIGESTS = {
+    (2, False): "b5e7b1e0065bbe8458150811c1a75fc1f5af3c33e6ae02ea0d808cede443ccad",
+    (2, True): "1f9aa914471c54b23a7e46cd45a70859f83601b38080eed4491e062bdc1b9060",
+    (3, False): "47eeee068852f249188a9e542b468f9733049f01143186ee5a837c12484d9d5e",
+    (3, True): "47eeee068852f249188a9e542b468f9733049f01143186ee5a837c12484d9d5e",
+    (4, False): "b0c031a115779e1aad4235199a1e8083c62424cddc34ef70be90b758f57e4464",
+    (4, True): "1f9aa914471c54b23a7e46cd45a70859f83601b38080eed4491e062bdc1b9060",
+}
+
+
 class TestGeneration:
     def test_same_seed_same_instance(self):
         spec = builtin_setting(3).generator
@@ -99,7 +111,7 @@ class TestGeneration:
         inst = generate_instance(builtin_setting(3).generator, seed=5)
         assert inst.num_players == 100
         assert inst.num_servers == 50
-        assert inst.feasible_sequential
+        DynamicRun(inst, "simultaneous")
 
     def test_degenerate_range_is_constant(self):
         spec = GeneratorSpec(3, 2, (2, 2), (2, 2), (2, 2))
@@ -107,6 +119,23 @@ class TestGeneration:
         assert np.all(inst.service_rates == 2.0)
         assert np.all(inst.job_lengths == 2.0)
         assert np.all(inst.initial_loads == 2.0)
+
+    @pytest.mark.parametrize("sid,require_simultaneous", DRAW_DIGESTS)
+    def test_draws_are_pinned(self, sid, require_simultaneous):
+        # each drawn instance's arrays, or the refusal message
+        digest = hashlib.sha256()
+        for seed in range(8):
+            try:
+                inst = generate_instance(
+                    builtin_setting(sid).generator, seed,
+                    require_simultaneous=require_simultaneous,
+                )
+            except ValueError as exc:
+                digest.update(str(exc).encode())
+                continue
+            for arr in (inst.job_lengths, inst.service_rates, inst.initial_loads):
+                digest.update(np.asarray(arr, "<f8").tobytes())
+        assert digest.hexdigest() == DRAW_DIGESTS[sid, require_simultaneous]
 
     def test_infeasible_recipe_errors_out(self):
         spec = GeneratorSpec(1, 1, (1, 1), (5, 5), (0, 0))
@@ -161,12 +190,9 @@ class TestRunExperiment:
     def test_metric_helpers(self):
         report = run_experiment(builtin_setting(5), seed=1, modes=("sequential",))
         run = report.sequential
-        series = average_load_series(run)
-        assert series.size == len(run.trace)
-        assert series[-1] == 0.0
-        sizes = support_sizes(run)
-        assert len(sizes) == len(run.trace)
-        assert sizes[-1] == (run.inst.num_servers,)
+        assert not run.trace.loads[-1].any()
+        used = np.count_nonzero(run.trace.fractions[-1] > 0, axis=-1)
+        assert used.tolist() == [run.inst.num_servers]
 
 
 class TestTraceExport:

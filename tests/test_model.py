@@ -4,6 +4,8 @@ import pytest
 from lbgame import (
     Action,
     ActionProfile,
+    DynamicRun,
+    InfeasibleError,
     Instance,
     ServerLoads,
     Trace,
@@ -14,6 +16,7 @@ from lbgame import (
     potential,
     social_cost,
     state_transition,
+    zero_load_time,
 )
 from lbgame.model import _potential_matrix, _wait
 
@@ -28,17 +31,18 @@ class TestInstance:
         assert inst.max_job_length == 1.5
         assert inst.min_job_length == 0.5
         assert inst.min_service_rate == 0.1
-        assert inst.max_service_rate == 1.4
         assert inst.total_service_rate == 1.5
         assert inst.total_job_length == 2.0
 
     def test_feasibility_flags(self):
         # one job at a time: only the largest job must fit
         inst = Instance([2.5, 3.0], [3.0, 2.0])
-        assert inst.feasible_sequential
-        assert not inst.feasible_simultaneous
-        assert Instance([1.0], [2.0]).feasible_simultaneous
-        assert not Instance([5.0], [2.0, 2.0]).feasible_sequential
+        DynamicRun(inst, "sequential")
+        with pytest.raises(InfeasibleError, match="total arrival rate"):
+            DynamicRun(inst, "simultaneous")
+        DynamicRun(Instance([1.0], [2.0]), "simultaneous")
+        with pytest.raises(InfeasibleError, match="largest job length"):
+            DynamicRun(Instance([5.0], [2.0, 2.0]), "sequential")
 
     def test_default_loads_are_zero(self):
         inst = Instance([1.0], [1.0, 2.0])
@@ -62,7 +66,8 @@ class TestInstance:
     def test_no_players_is_allowed(self):
         inst = Instance([], [1.0, 2.0], [3.0, 4.0])
         assert inst.num_players == 0
-        assert inst.feasible_sequential
+        # ceil(3 + 7 / 3): the slower server's backlog empties after 3 steps
+        assert zero_load_time(inst) == 6
 
     def test_immutability(self):
         inst = Instance([1.0], [1.0])
