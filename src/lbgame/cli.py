@@ -30,7 +30,6 @@ from .dynamic import (
 )
 from .experiments import (
     ExperimentReport,
-    _fmt,
     _run_static,
     builtin_setting,
     builtin_settings,
@@ -40,6 +39,11 @@ from .experiments import (
 )
 from .model import InfeasibleError, Instance, social_cost
 from .static import empirical_poa, opt_lower_bound, poa_upper_bound, run_sequential_pass
+
+
+def _fmt(x: float) -> str:
+    # repr of a Python float is the shortest string that parses back exactly.
+    return repr(float(x))
 
 
 class ConfigError(ValueError):
@@ -323,8 +327,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # An overflow fails as one error line, without numpy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # An overflow fails as one error line, without numpy's warnings:
+        # ``_finite`` refuses what it leaves. Ignoring every class, not only
+        # overflow and invalid, spares each small ufunc a check of the
+        # floating-point status flags.
+        with np.errstate(all="ignore"):
             return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

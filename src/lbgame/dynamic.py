@@ -188,12 +188,22 @@ def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
     return fractions, costs
 
 
-def _arrival_at(run: DynamicRun, rng, t: int) -> int:
-    if run.order == ORDER_ROUND_ROBIN:
-        return t % run.inst.num_players
-    if run.order == ORDER_RANDOM:
-        return int(rng.integers(run.inst.num_players))
-    return run.order[t % len(run.order)]
+def _arrivals(run: DynamicRun):
+    # Each step's arriving player, worked out ``_BLOCK`` steps at a time: a
+    # block of random draws takes the same values from ``rng`` as one draw
+    # per step. A simultaneous run steps its merged player 0.
+    n, rng = run.inst.num_players, np.random.default_rng(run.seed)
+    for start in range(0, run.max_steps, _BLOCK):
+        steps = np.arange(start, min(start + _BLOCK, run.max_steps))
+        if run.mode == MODE_SIMULTANEOUS:
+            block = np.zeros_like(steps)
+        elif run.order == ORDER_RANDOM:
+            block = rng.integers(n, size=steps.size)
+        elif run.order == ORDER_ROUND_ROBIN:
+            block = steps % n
+        else:
+            block = np.asarray(run.order)[steps % len(run.order)]
+        yield from block.tolist()
 
 
 def _play(run: DynamicRun, mode: str) -> DynamicRun:
@@ -205,15 +215,13 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
     inst = _drain_instance(run.inst, mode)
-    lengths, rates = inst.job_lengths, inst.service_rates
-    rng = np.random.default_rng(run.seed)
+    lengths, rates = inst.job_lengths.tolist(), inst.service_rates
     arrivals, loads, candidate = [], [inst.initial_loads], None
-    for t in range(run.max_steps):
-        i = _arrival_at(run, rng, t) if mode == MODE_SEQUENTIAL else 0
-        work = lengths[i] * _respond(float(lengths[i]), rates, loads[-1])[0]
+    for t, i in enumerate(_arrivals(run)):
+        work = lengths[i] * _respond(lengths[i], rates, loads[-1])[0]
         loads.append(_drain(loads[-1], work, rates))
         arrivals.append(i)
-        if loads[-1].any():
+        if np.count_nonzero(loads[-1]):
             candidate = None
         elif candidate is None:
             candidate = t

@@ -20,6 +20,7 @@ from .dynamic import (
     MODE_SIMULTANEOUS,
     DynamicRun,
     Trace,
+    _BLOCK,
     _stable,
     run_sequential,
     run_simultaneous,
@@ -301,25 +302,33 @@ def convergence_grid(
     return grid
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest string that parses back exactly.
-    return repr(float(x))
+def _blocks(trace: Trace):
+    # The trace's steps in slices of about ``_BLOCK`` values of its fractions:
+    # a block's columns as Python values cost about 4x their bytes, so the
+    # writers' memory stays bounded however long the run.
+    steps, k, m = trace.fractions.shape
+    rows = max(1, _BLOCK // (k * m))
+    for start in range(0, steps, rows):
+        yield start, min(start + rows, steps)
 
 
-def _steps(trace: Trace):
-    # Per step, the columns' Python values under the JSON-lines keys, one
-    # row at a time: a whole column as Python floats takes 4x its bytes.
-    for t, after in enumerate(trace.loads[1:]):
-        yield dict(
-            t=t, arrivals=trace.arrivals[t].tolist(), actions=trace.fractions[t].tolist(),
-            loads_before=trace.loads[t].tolist(), loads_after=after.tolist(),
-            instantaneous_costs=trace.costs[t].tolist(), total_load=float(after.sum()),
-        )
+def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
+    # Each row of a 2-D block as its values joined by ``sep``. ``repr`` of a
+    # Python float is the shortest string that parses back exactly.
+    return [sep.join(map(repr, row)) for row in values.tolist()]
+
+
+def _totals(loads: np.ndarray) -> list[float]:
+    # Each row's total load, bit for bit as ``row.sum()``: numpy sums the
+    # rows of a C-ordered block pairwise, like one row, but the rows of a
+    # column-major block in another order.
+    return np.ascontiguousarray(loads).sum(axis=1).tolist()
 
 
 def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
     """One CSV row per step: loads after the drain, the step's cost, and a
-    converged flag. The arriving player is -1 for simultaneous steps."""
+    converged flag. The arriving player is -1 for simultaneous steps.
+    Written a block of steps at a time."""
     path = Path(path)
     num_servers = next(iter(runs.values())).inst.num_servers
     header = (
@@ -327,25 +336,66 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
         + [f"s_{j + 1}" for j in range(num_servers)]
         + ["total_load", "cost", "converged_flag"]
     )
-    lines = [",".join(header)]
-    for mode, run in runs.items():
-        for step in _steps(run.trace):
-            arriving = step["arrivals"][0] if mode == MODE_SEQUENTIAL else -1
-            converged = str(int(run.converged_at is not None and step["t"] >= run.converged_at))
-            row = [str(step["t"]), mode, str(arriving)] + [_fmt(s) for s in step["loads_after"]]
-            row += [_fmt(step["total_load"]), _fmt(sum(step["instantaneous_costs"])), converged]
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for mode, run in runs.items():
+            trace, converged = run.trace, run.converged_at
+            for start, stop in _blocks(trace):
+                after = trace.loads[start + 1 : stop + 1]
+                if mode == MODE_SEQUENTIAL:
+                    arriving = trace.arrivals[start:stop, 0].tolist()
+                else:
+                    arriving = [-1] * (stop - start)
+                # Python's ``sum`` of each step's costs, as numpy's may round
+                # differently.
+                costs = map(sum, trace.costs[start:stop].tolist())
+                cells = zip(range(start, stop), arriving, _rows(after), _totals(after), costs)
+                out.writelines(
+                    f"{t},{mode},{player},{loads},{total!r},{cost!r},"
+                    f"{int(converged is not None and t >= converged)}\n"
+                    for t, player, loads, total, cost in cells
+                )
     return path
 
 
+def _json_float(x: float) -> str:
+    # ``json.dumps``'s text for a float: an overflowed total reads Infinity.
+    return "Infinity" if x == np.inf else repr(x)
+
+
 def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
-    """One JSON object per step, mirroring the step records losslessly."""
+    """One JSON object per step, mirroring the step records losslessly.
+    Written a block of steps at a time."""
     path = Path(path)
-    lines = []
-    for mode, run in runs.items():
-        lines += (json.dumps({"mode": mode, **step}) for step in _steps(run.trace))
-    path.write_text("\n".join(lines) + "\n")
+    written = False
+    with path.open("w") as out:
+        for mode, run in runs.items():
+            trace, name = run.trace, json.dumps(mode)
+            k, m = trace.fractions.shape[1:]
+            for start, stop in _blocks(trace):
+                # Step t's loads_after is step t+1's loads_before: one text each.
+                loads = [f"[{row}]" for row in _rows(trace.loads[start : stop + 1], ", ")]
+                rows = [f"[{row}]" for row in _rows(trace.fractions[start:stop].reshape(-1, m), ", ")]
+                actions = (", ".join(rows[i : i + k]) for i in range(0, len(rows), k))
+                cells = zip(
+                    range(start, stop),
+                    _rows(trace.arrivals[start:stop], ", "),
+                    actions,
+                    loads,
+                    loads[1:],
+                    _rows(trace.costs[start:stop], ", "),
+                    map(_json_float, _totals(trace.loads[start + 1 : stop + 1])),
+                )
+                out.writelines(
+                    f'{{"mode": {name}, "t": {t}, "arrivals": [{arrivals}], '
+                    f'"actions": [{action}], "loads_before": {before}, "loads_after": {after}, '
+                    f'"instantaneous_costs": [{costs}], "total_load": {total}}}\n'
+                    for t, arrivals, action, before, after, costs, total in cells
+                )
+                written = True
+        if not written:
+            # A trace with no steps has always been written as one empty line.
+            out.write("\n")
     return path
 
 

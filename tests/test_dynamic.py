@@ -176,6 +176,25 @@ class TestSequentialRuns:
             for record in done.trace[done.converged_at:]:
                 assert record.total_load == 0.0
 
+    @pytest.mark.parametrize(
+        "order, n",
+        [("random", 1), ("random", 3), ("random", 500), ("round-robin", 1),
+         ("round-robin", 3), ((0,), 1), ((2, 0, 2, 1, 0), 3)],
+    )
+    def test_arrivals_match_per_step_draws(self, order, n):
+        # Past one block of arrivals, on a queue that outlasts the horizon.
+        steps = dynamic._BLOCK + 7
+        inst = Instance(np.linspace(0.2, 0.9, n), [1.0], [1e6])
+        done = run_sequential(DynamicRun(inst, "sequential", order=order, seed=5, max_steps=steps))
+        rng = np.random.default_rng(5)
+        if order == "random":
+            want = [int(rng.integers(n)) for _ in range(steps)]
+        elif order == "round-robin":
+            want = [t % n for t in range(steps)]
+        else:
+            want = [order[t % len(order)] for t in range(steps)]
+        assert done.trace.arrivals[:, 0].tolist() == want
+
 
 def reference_simultaneous(inst, max_steps):
     """The per-round simulation, the reference for the merged engine: each

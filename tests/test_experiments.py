@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,55 @@ from lbgame import (
     load_trace_jsonl,
     run_experiment,
     run_sequential,
+    run_simultaneous,
     setting_instance,
     write_trace_csv,
     write_trace_jsonl,
 )
 from lbgame import experiments
+from lbgame.dynamic import _BLOCK
 from lbgame.experiments import ExperimentReport
 from lbgame.model import Action
+
+
+def _reference_steps(trace):
+    # One dict of Python values per step, under the JSON-lines keys.
+    for t, after in enumerate(trace.loads[1:]):
+        yield dict(
+            t=t, arrivals=trace.arrivals[t].tolist(), actions=trace.fractions[t].tolist(),
+            loads_before=trace.loads[t].tolist(), loads_after=after.tolist(),
+            instantaneous_costs=trace.costs[t].tolist(), total_load=float(after.sum()),
+        )
+
+
+def reference_csv(runs):
+    """The CSV export written one step at a time: the reference for the
+    library's block-wise writer."""
+    num_servers = next(iter(runs.values())).inst.num_servers
+    header = (
+        ["step", "mode", "arriving_player"]
+        + [f"s_{j + 1}" for j in range(num_servers)]
+        + ["total_load", "cost", "converged_flag"]
+    )
+    lines = [",".join(header)]
+    for mode, run in runs.items():
+        for step in _reference_steps(run.trace):
+            arriving = step["arrivals"][0] if mode == "sequential" else -1
+            converged = str(int(run.converged_at is not None and step["t"] >= run.converged_at))
+            row = [str(step["t"]), mode, str(arriving)]
+            row += [repr(float(s)) for s in step["loads_after"]]
+            row += [repr(float(step["total_load"])), repr(float(sum(step["instantaneous_costs"])))]
+            lines.append(",".join(row + [converged]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_records(runs):
+    return [{"mode": mode, **step} for mode, run in runs.items() for step in _reference_steps(run.trace)]
+
+
+def reference_jsonl(runs):
+    """The JSON-lines export written one ``json.dumps`` per step."""
+    return "\n".join(json.dumps(record) for record in reference_records(runs)) + "\n"
 
 
 class TestCatalog:
@@ -284,6 +327,88 @@ class TestTraceExport:
         )
         with pytest.raises(ValueError, match="no dynamic runs"):
             export_trace(report, tmp_path / "nothing.csv")
+
+
+def _never_drains(steps):
+    # A sequential run on m=8 servers whose queues outlast ``steps`` steps.
+    inst = Instance([0.5, 1.0, 0.7], [1.0, 2.0, 1.5, 1.2, 0.8, 1.1, 0.9, 1.3], [1e4] * 8)
+    return run_sequential(DynamicRun(inst, "sequential", max_steps=steps))
+
+
+def _one_step_per_block():
+    # k*m values per simultaneous step, more than one block holds.
+    rng = np.random.default_rng(3)
+    inst = Instance(np.full(200, 0.01), np.ones(100), rng.uniform(1.0, 5.0, 100))
+    assert inst.num_players * inst.num_servers > _BLOCK
+    return {"simultaneous": run_simultaneous(DynamicRun(inst, "simultaneous", max_steps=3))}
+
+
+def _column_major():
+    # Fortran-ordered columns: each row's total must still sum like row.sum().
+    rng = np.random.default_rng(4)
+    inst = Instance([0.5, 1.0], rng.uniform(1.0, 2.0, 16), rng.uniform(1.0, 9.0, 16) ** 4)
+    done = run_sequential(DynamicRun(inst, "sequential", max_steps=50))
+    trace = Trace(*(np.asfortranarray(getattr(done.trace, name))
+                    for name in ("arrivals", "fractions", "loads", "costs")))
+    return {"sequential": replace(done, trace=trace)}
+
+
+def _with_unrun():
+    report = run_experiment(builtin_setting(1), seed=0, modes=("sequential",))
+    return {"simultaneous": DynamicRun(report.instance, "simultaneous"), **report.runs}
+
+
+def _overflowed_total():
+    # Finite loads whose sum overflows: JSON writes the total as Infinity.
+    inst = Instance([1.0], [1.0, 1.0], [1e308, 1e308])
+    with np.errstate(over="ignore"):
+        return {"sequential": run_sequential(DynamicRun(inst, "sequential", max_steps=2))}
+
+
+ODD_TRACES = {
+    # 4,101 steps: two full blocks of 2,048 and a partial one.
+    "partial-block": lambda: {"sequential": _never_drains(2 * (_BLOCK // 8) + 5)},
+    "one-step-per-block": _one_step_per_block,
+    "column-major": _column_major,
+    "unrun-and-run": _with_unrun,
+    "no-steps": lambda: {"sequential": DynamicRun(builtin_setting(1).instance)},
+    "overflowed-total": _overflowed_total,
+}
+
+
+class TestExportOracle:
+    """The block-wise writers against the per-step reference writers above:
+    the same bytes, and every JSON line the reference step dict."""
+
+    @staticmethod
+    def same_text(got, want):
+        # Line by line, so a mismatch reports one line instead of a diff of
+        # two whole files.
+        got, want = got.split("\n"), want.split("\n")
+        for number, (line, expected) in enumerate(zip(got, want), 1):
+            assert line == expected, f"line {number} differs"
+        assert len(got) == len(want)
+
+    def check(self, runs, tmp_path):
+        with np.errstate(over="ignore"):
+            csv = write_trace_csv(runs, tmp_path / "trace.csv").read_text()
+            jsonl = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text()
+            self.same_text(csv, reference_csv(runs))
+            self.same_text(jsonl, reference_jsonl(runs))
+            records = reference_records(runs)
+        lines = jsonl.splitlines()
+        assert len(lines) == max(1, len(records))
+        for line, record in zip(lines, records):
+            assert json.loads(line) == record
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sid", range(1, 8))
+    def test_catalog_exports_match_the_reference(self, sid, seed, tmp_path):
+        self.check(run_experiment(builtin_setting(sid), seed=seed).runs, tmp_path)
+
+    @pytest.mark.parametrize("case", list(ODD_TRACES))
+    def test_odd_traces_match_the_reference(self, case, tmp_path):
+        self.check(ODD_TRACES[case](), tmp_path)
 
 
 class TestDeterminism:
