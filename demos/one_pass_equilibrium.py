@@ -26,7 +26,7 @@ profile, potentials = run_sequential_pass(inst)
 for step, value in enumerate(potentials, start=1):
     print(f"  after update {step}: potential = {value:.6f}")
 
-check = is_nash(inst, profile, epsilon=1e-8)
+check = is_nash(inst, profile)
 print("\npure equilibrium reached:", check.is_equilibrium)
 print("bound on any unilateral improvement:", f"{check.max_improvement:.2e}")
 

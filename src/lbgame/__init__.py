@@ -19,7 +19,6 @@ from .model import (
     ServerLoads,
     instantaneous_cost,
     normalized_loads,
-    player_cost,
     player_costs,
     potential,
     social_cost,
@@ -34,7 +33,6 @@ from .static import (
     opt_lower_bound,
     poa_upper_bound,
     run_sequential_pass,
-    water_fill,
 )
 from .dynamic import (
     DynamicRun,
@@ -93,7 +91,6 @@ __all__ = [
     "load_trace_jsonl",
     "normalized_loads",
     "opt_lower_bound",
-    "player_cost",
     "player_costs",
     "poa_upper_bound",
     "potential",
@@ -104,7 +101,6 @@ __all__ = [
     "setting_instance",
     "social_cost",
     "state_transition",
-    "water_fill",
     "write_trace_csv",
     "write_trace_jsonl",
     "zero_load_time",

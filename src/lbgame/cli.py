@@ -190,10 +190,10 @@ def cmd_dynamic(args) -> int:
         raise ConfigError(f"unknown mode: {mode_raw!r} (use seq or simul)")
     order = _parse_order(_field(args, config, "run", "order", "order", "random"))
     max_steps = _field(args, config, "run", "max_steps", "max_steps")
-    run_seed = seed.get() if (mode == MODE_SEQUENTIAL and order == "random") else (
+    run_seed = int(seed.get() if (mode == MODE_SEQUENTIAL and order == "random") else (
         seed.value if seed.value is not None else 0
-    )
-    cfg = DynamicRun(inst, mode, order=order, max_steps=max_steps, seed=int(run_seed))
+    ))
+    cfg = DynamicRun(inst, mode, order=order, max_steps=max_steps, seed=run_seed)
     done = run_sequential(cfg) if mode == MODE_SEQUENTIAL else run_simultaneous(cfg)
     converged = "none" if done.converged_at is None else str(done.converged_at)
     print(f"mode={mode} steps={len(done.trace)} converged_at={converged}")
@@ -208,7 +208,7 @@ def cmd_dynamic(args) -> int:
         fmt = _field(args, config, "output", "format", "format", "csv")
         report = ExperimentReport(
             setting_id=args.setting if args.setting is not None else "custom",
-            seed=int(seed.value if seed.value is not None else 0),
+            seed=run_seed,
             instance=inst,
             sequential=done if mode == MODE_SEQUENTIAL else None,
             simultaneous=done if mode == MODE_SIMULTANEOUS else None,

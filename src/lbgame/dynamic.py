@@ -29,7 +29,7 @@ MODE_SIMULTANEOUS = "simultaneous"
 # Largest trace a run may hold, counted in values over all columns.
 _MAX_TRACE_VALUES = 2**26
 
-# About how many values ``_settle`` prices at once.
+# About how many values one of ``_blocks`` holds.
 _BLOCK = 2**14
 
 
@@ -52,7 +52,7 @@ class Trace(_Record):
     """A run's history as columns over T steps of k arrivals on m servers:
     ``arrivals`` and ``costs`` (T, k), ``fractions`` (T, k, m), and ``loads``
     (T+1, m), the start state then the state after each drain. The run is
-    checked once; indexing builds :class:`StepRecord` views on demand.
+    checked once; an integer index builds a :class:`StepRecord` view.
 
     Float64 ndarray columns (and int ``arrivals``) are kept without a copy
     and marked read-only in place; other inputs are converted first."""
@@ -76,10 +76,8 @@ class Trace(_Record):
     def __len__(self) -> int:
         return len(self.costs)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return tuple(self[t] for t in range(len(self))[key])
-        t = range(len(self))[key]
+    def __getitem__(self, t):
+        t = range(len(self))[operator.index(t)]
         before, after = (ServerLoads(row) for row in self.loads[t : t + 2])
         actions = tuple(Action(row) for row in self.fractions[t])
         arrivals, costs = tuple(self.arrivals[t].tolist()), tuple(self.costs[t].tolist())
@@ -172,20 +170,28 @@ def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
     # observed and the (T, k) arrivals: one arrival best-responds to its
     # queues, and n arrivals settle by one in-turn pass from uniform rows
     # over all T rounds at once (with one player the two agree). The rest
-    # runs in blocks of about ``_BLOCK`` values, bounding the temporaries.
+    # runs in ``_blocks``.
     (steps, k), m, rates = arrivals.shape, inst.num_servers, inst.service_rates
     fractions, costs = np.full((steps, k, m), 1.0 / m), np.empty((steps, k))
     if k > 1:
         for _ in _pass(inst, observed, fractions, range(k)):
             pass
-    rows = max(1, _BLOCK // (k * m))
-    for start in range(0, steps, rows):
-        block = slice(start, start + rows)
+    for start, stop in _blocks(steps, k, m):
+        block = slice(start, stop)
         queues, lengths = observed[block], inst.job_lengths[arrivals[block], None]
         if k == 1:
             fractions[block, 0] = _respond(lengths[:, 0], rates, queues)[0]
         costs[block] = _wait(lengths * fractions[block], queues[:, None], rates)
     return fractions, costs
+
+
+def _blocks(steps: int, k: int, m: int):
+    # The one block rule: ``steps`` steps of k arrivals on m servers as
+    # ``(start, stop)`` ranges of about ``_BLOCK`` fraction values, at least
+    # one step. It bounds pricing temporaries and the trace writers' memory.
+    rows = max(1, _BLOCK // (k * m))
+    for start in range(0, steps, rows):
+        yield start, min(start + rows, steps)
 
 
 def _arrivals(run: DynamicRun):

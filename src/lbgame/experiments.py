@@ -20,7 +20,7 @@ from .dynamic import (
     MODE_SIMULTANEOUS,
     DynamicRun,
     Trace,
-    _BLOCK,
+    _blocks,
     _stable,
     run_sequential,
     run_simultaneous,
@@ -302,16 +302,6 @@ def convergence_grid(
     return grid
 
 
-def _blocks(trace: Trace):
-    # The trace's steps in slices of about ``_BLOCK`` values of its fractions:
-    # a block's columns as Python values cost about 4x their bytes, so the
-    # writers' memory stays bounded however long the run.
-    steps, k, m = trace.fractions.shape
-    rows = max(1, _BLOCK // (k * m))
-    for start in range(0, steps, rows):
-        yield start, min(start + rows, steps)
-
-
 def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
     # Each row of a 2-D block as its values joined by ``sep``. ``repr`` of a
     # Python float is the shortest string that parses back exactly.
@@ -340,7 +330,7 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
         out.write(",".join(header) + "\n")
         for mode, run in runs.items():
             trace, converged = run.trace, run.converged_at
-            for start, stop in _blocks(trace):
+            for start, stop in _blocks(*trace.fractions.shape):
                 after = trace.loads[start + 1 : stop + 1]
                 if mode == MODE_SEQUENTIAL:
                     arriving = trace.arrivals[start:stop, 0].tolist()
@@ -372,7 +362,7 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
         for mode, run in runs.items():
             trace, name = run.trace, json.dumps(mode)
             k, m = trace.fractions.shape[1:]
-            for start, stop in _blocks(trace):
+            for start, stop in _blocks(*trace.fractions.shape):
                 # Step t's loads_after is step t+1's loads_before: one text each.
                 loads = [f"[{row}]" for row in _rows(trace.loads[start : stop + 1], ", ")]
                 rows = [f"[{row}]" for row in _rows(trace.fractions[start:stop].reshape(-1, m), ", ")]

@@ -226,12 +226,6 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     return _finite(_wait(work, queued - work, inst.service_rates), "player cost")
 
 
-def player_cost(inst: Instance, profile: ActionProfile, i: int) -> float:
-    """Average wait time of player ``i``'s job under the full profile."""
-    _check_player(inst, i)
-    return float(player_costs(inst, profile)[i])
-
-
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:
     """Average wait time of player ``i``'s job against fixed queue loads."""
     _check_player(inst, i)

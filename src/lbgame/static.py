@@ -29,35 +29,13 @@ from .model import (
 )
 
 
-def water_fill(total: float, rates, levels):
-    """Spread ``total`` work over channels so the filled ones share one level.
-
-    ``levels`` are the channels' current normalized heights and ``rates``
-    their widths. Channels are taken in ascending level order (ties broken
-    by index). The fill stops right before the first channel whose height
-    already meets the common level the prefix would reach; if no channel
-    does, everything is filled.
-
-    Returns ``(amounts, level, support_size, order)`` where ``amounts`` is
-    per-channel work (zero outside the support), ``level`` the common
-    normalized height on the support, and ``order`` the permutation used.
-    Input that would make the result NaN or inf raises ``ValueError``.
-    """
-    rates = np.asarray(rates, dtype=float)
-    levels = np.asarray(levels, dtype=float)
-    if not 0 < total < np.inf:
-        raise ValueError("total work to spread must be finite and positive")
-    if rates.size == 0:
-        raise ValueError("need at least one channel")
-    if rates.ndim != 1 or levels.shape != rates.shape:
-        raise ValueError(f"{levels.size} levels for {rates.size} channels")
-    if not (np.all((rates > 0) & (rates < np.inf)) and np.all(np.isfinite(levels))):
-        raise ValueError("rates must be finite and positive, and levels finite")
-    return _water_fill(total, rates, levels)
-
-
 def _water_fill(total: float, rates: np.ndarray, levels: np.ndarray):
-    # ``water_fill`` unchecked, for callers whose inputs are valid by design.
+    # Pour ``total`` work over channels of widths ``rates`` in ascending order
+    # of their normalized ``levels`` (ties by index), stopping right before
+    # the first channel already at the level the filled prefix would share.
+    # Returns ``(amounts, level, support, order)``: per-channel work (zero
+    # off the support), that level, the support size and the permutation.
+    # Unchecked: callers pass positive ``total`` and rates, finite levels.
     order = levels.argsort(kind="stable")
     # Heights above the lowest channel: a total far below the levels would
     # otherwise cancel against them and lose its low digits.
@@ -228,6 +206,11 @@ def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
         raise RuntimeError(f"running server totals drifted by {np.max(drift):.3e} over the pass")
 
 
+# The largest first-order gap :func:`is_nash` accepts, relative to the
+# player's own cost.
+_NASH_TOLERANCE = 1e-8
+
+
 class NashCheck(NamedTuple):
     """:func:`is_nash`'s verdict and largest gap, a bound on any player's gain."""
 
@@ -235,22 +218,20 @@ class NashCheck(NamedTuple):
     max_improvement: float
 
 
-def is_nash(inst: Instance, profile: ActionProfile, epsilon: float = 1e-8) -> NashCheck:
-    """Whether each player's first-order gap is within ``epsilon`` of its
-    own cost, a verdict that does not depend on units. Costs O(n·m).
+def is_nash(inst: Instance, profile: ActionProfile) -> NashCheck:
+    """Whether each player's first-order gap is within 1e-8 of its own
+    cost, a verdict that does not depend on units. Costs O(n·m).
 
     Cost is convex in a player's own work, with the normalized loads as
     gradient, so the gap (its work times each used server's height above
     the lowest level) bounds its gain from moving alone and is 0 exactly at
-    an equilibrium. A bad ``epsilon`` or float64 overflow raises ValueError.
+    an equilibrium. Float64 overflow raises ValueError.
     """
     costs = player_costs(inst, profile)
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be finite and positive")
     levels = normalized_loads(inst, profile)
     work = inst.job_lengths[:, None] * profile.matrix
     gaps = _finite(work @ (levels - levels.min()), "equilibrium gap")
-    return NashCheck(bool(np.all(gaps <= epsilon * costs)), float(gaps.max(initial=0.0)))
+    return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max(initial=0.0)))
 
 
 def poa_upper_bound(inst: Instance) -> float:
@@ -285,10 +266,9 @@ def opt_lower_bound(inst: Instance) -> float:
 def empirical_poa(inst: Instance, ne_profile: ActionProfile) -> float:
     """Ratio of a given equilibrium's social cost to the optimum lower bound.
 
-    The profile must pass :func:`is_nash` at its default tolerance, or
-    ``ValueError`` is raised. Conservative: never smaller than the true
-    inefficiency ratio of that equilibrium, and always below
-    :func:`poa_upper_bound`.
+    The profile must pass :func:`is_nash`, or ``ValueError`` is raised.
+    Conservative: never smaller than the true inefficiency ratio of that
+    equilibrium, and always below :func:`poa_upper_bound`.
     """
     check = is_nash(inst, ne_profile)
     if not check.is_equilibrium:

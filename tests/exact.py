@@ -148,11 +148,16 @@ def run_pass(lengths, rates, loads, matrix, order):
     return matrix, queues
 
 
-def social_cost(lengths, rates, loads, matrix):
-    """Every player's wait behind the loads and the others' work, summed."""
+def player_costs(lengths, rates, loads, matrix):
+    """Each player's wait behind the loads and the others' work."""
     total = queued(lengths, loads, matrix)
     own = [[length * x for x in row] for length, row in zip(lengths, matrix)]
-    return sum(wait(w, [q - x for q, x in zip(total, w)], rates) for w in own)
+    return [wait(w, [q - x for q, x in zip(total, w)], rates) for w in own]
+
+
+def social_cost(lengths, rates, loads, matrix):
+    """Every player's cost, summed."""
+    return sum(player_costs(lengths, rates, loads, matrix))
 
 
 def combined_fill(lengths, rates, loads):

@@ -36,10 +36,6 @@ import exact as ex
 from conftest import random_instance
 
 
-def positive_support(action):
-    return frozenset(np.nonzero(action.fractions > 0)[0])
-
-
 def chained_step(inst, loads, i):
     """One sequential step by the validated public chain, independent of the
     engine's raw kernel: best response, its cost against the observed
@@ -118,10 +114,9 @@ class TestSequentialRuns:
         inst = builtin_setting(1).instance
         done = run_sequential(DynamicRun(inst, "sequential", order="random", seed=7))
         assert done.converged_at is not None
-        tail = [r for r in done.trace if r.t >= done.converged_at]
-        assert tail
-        assert all(r.total_load == 0.0 for r in tail)
-        assert all(np.all(r.loads_after.loads == 0.0) for r in tail)
+        tail = done.trace.loads[done.converged_at + 1 :]
+        assert len(tail)
+        assert np.all(tail == 0.0)
 
     def test_setting_five_round_robin_beats_drain_bound(self):
         inst = builtin_setting(5).instance
@@ -135,21 +130,22 @@ class TestSequentialRuns:
         done = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
         assert done.converged_at == 0
         share = inst.service_rates / inst.total_service_rate
-        for record in done.trace:
-            assert np.allclose(record.actions[0].fractions, share, atol=1e-9)
+        assert np.allclose(done.trace.fractions[:, 0], share, atol=1e-9)
 
     def test_drift_is_exactly_capacity_minus_arrival(self):
         # once every response spans all servers, each step with leftover
-        # backlog removes exactly total rate minus the arriving job
-        inst = builtin_setting(5).instance
+        # backlog removes exactly total rate minus the arriving job. The
+        # catalog settings drain the step before full support, so heavy jobs
+        # on level queues keep a backlog long past it.
+        inst = Instance([1.8, 0.9], [1.0, 1.0], [10.0, 10.0])
         done = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
         lead = full_support_time(inst)
-        for record in done.trace:
-            if record.t < lead or record.total_load <= 0.0:
-                continue
-            drop = record.loads_before.total - record.total_load
-            expected = inst.total_service_rate - inst.job_lengths[record.arrivals[0]]
-            assert drop == pytest.approx(expected, abs=1e-9)
+        totals = done.trace.loads.sum(axis=1)
+        drops = totals[:-1] - totals[1:]
+        expected = inst.total_service_rate - inst.job_lengths[done.trace.arrivals[:, 0]]
+        steps = (np.arange(len(done.trace)) >= lead) & (totals[1:] > 0.0)
+        assert steps.any()
+        assert drops[steps] == pytest.approx(expected[steps], abs=1e-9)
 
     def test_full_support_after_lead_time_and_nested_supports(self):
         rng = np.random.default_rng(73)
@@ -158,14 +154,9 @@ class TestSequentialRuns:
             done = run_sequential(
                 DynamicRun(inst, "sequential", order="random", seed=int(rng.integers(2**32)))
             )
-            lead = full_support_time(inst)
-            previous = frozenset()
-            for record in done.trace:
-                support = positive_support(record.actions[0])
-                assert support >= previous
-                previous = support
-                if record.t >= lead:
-                    assert len(support) == inst.num_servers
+            supports = done.trace.fractions[:, 0] > 0
+            assert not np.any(supports[:-1] & ~supports[1:]), "supports must be nested"
+            assert supports[full_support_time(inst) :].all()
 
     def test_converged_state_is_absorbing_across_orders(self):
         inst = builtin_setting(6).instance
@@ -173,8 +164,7 @@ class TestSequentialRuns:
             done = run_sequential(DynamicRun(inst, "sequential", order="random", seed=seed))
             assert done.converged_at is not None
             assert done.converged_at <= min(zero_load_time(inst), zero_load_time_alt(inst))
-            for record in done.trace[done.converged_at:]:
-                assert record.total_load == 0.0
+            assert np.all(done.trace.loads[done.converged_at + 1 :] == 0.0)
 
     @pytest.mark.parametrize(
         "order, n",
@@ -233,27 +223,23 @@ class TestSimultaneousRuns:
         sim = run_simultaneous(DynamicRun(inst, "simultaneous"))
         assert sim.converged_at is not None
         assert seq.converged_at <= sim.converged_at
-        assert all(
-            r.total_load == 0.0 for r in sim.trace if r.t >= sim.converged_at
-        )
+        assert np.all(sim.trace.loads[sim.converged_at + 1 :] == 0.0)
 
     def test_single_player_matches_sequential_round_robin(self):
         inst = Instance([1.0], [1.5, 2.5], [2.0, 4.0])
         seq = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
         sim = run_simultaneous(DynamicRun(inst, "simultaneous"))
         assert seq.converged_at == sim.converged_at
-        for a, b in zip(seq.trace, sim.trace):
-            assert a.actions == b.actions
-            assert a.loads_after == b.loads_after
+        assert np.array_equal(seq.trace.fractions, sim.trace.fractions)
+        assert np.array_equal(seq.trace.loads, sim.trace.loads)
 
     def test_each_step_removes_at_least_the_capacity_surplus(self):
         inst = builtin_setting(7).instance
         sim = run_simultaneous(DynamicRun(inst, "simultaneous"))
         surplus = inst.total_service_rate - inst.total_job_length
-        for record in sim.trace:
-            if record.total_load > 0.0:
-                drop = record.loads_before.total - record.total_load
-                assert drop >= surplus - 1e-9
+        totals = sim.trace.loads.sum(axis=1)
+        busy = totals[1:] > 0.0
+        assert np.all((totals[:-1] - totals[1:])[busy] >= surplus - 1e-9)
 
     def test_setting_seven_drains_exactly_on_round_299(self):
         # Exact merged run: the backlog of 60 falls by 4 - 3.8 = 0.2 a round
@@ -344,20 +330,30 @@ class TestSharedKernels:
     def test_simultaneous_round_is_the_pass_on_observed_loads(self, sid):
         inst = setting_instance(builtin_setting(sid), 0)
         done = run_simultaneous(DynamicRun(inst, "simultaneous"))
-        for record in done.trace:
-            before = record.loads_before
+        trace = done.trace
+        assert np.array_equal(trace.arrivals, np.tile(range(inst.num_players), (len(trace), 1)))
+        for t in range(len(trace)):
+            before = ServerLoads(trace.loads[t])
             profile, _ = run_sequential_pass(
                 Instance(inst.job_lengths, inst.service_rates, before.loads)
             )
-            assert len(record.actions) == inst.num_players
-            for i, (row, action) in enumerate(zip(profile.matrix, record.actions)):
-                assert np.array_equal(action.fractions, row)
-                cost = instantaneous_cost(inst, Action(row), before, i)
-                assert record.instantaneous_costs[i] == cost
+            assert np.array_equal(trace.fractions[t], profile.matrix)
+            for i, row in enumerate(profile.matrix):
+                assert trace.costs[t, i] == instantaneous_cost(inst, Action(row), before, i)
             # The queues drain as one player holding all the work: every
             # equilibrium of the round places that player's water-fill.
             merged = Instance([inst.total_job_length], inst.service_rates, before.loads)
-            assert record.loads_after == dynamic_step(merged, before, 0)[1]
+            assert np.array_equal(trace.loads[t + 1], dynamic_step(merged, before, 0)[1].loads)
+
+    @staticmethod
+    def assert_steps_are(step, inst, trace):
+        # Each recorded sequential step is ``step`` on the loads it observed.
+        assert trace.arrivals.shape == (len(trace), 1)
+        for t, i in enumerate(trace.arrivals[:, 0].tolist()):
+            action, after, cost = step(inst, ServerLoads(trace.loads[t]), i)
+            assert np.array_equal(trace.fractions[t, 0], action.fractions)
+            assert np.array_equal(trace.loads[t + 1], after.loads)
+            assert trace.costs[t, 0] == cost
 
     # Generated settings 2, 3 and 4 put wide rows (m = 200, 50, 100) through
     # the batched pricing of a sequential run.
@@ -365,12 +361,7 @@ class TestSharedKernels:
     def test_sequential_record_is_dynamic_step(self, sid):
         inst = setting_instance(builtin_setting(sid), 0)
         done = run_sequential(DynamicRun(inst, "sequential", order="random", seed=sid))
-        for record in done.trace:
-            (i,) = record.arrivals
-            action, after, cost = dynamic_step(inst, record.loads_before, i)
-            assert record.actions == (action,)
-            assert record.loads_after == after
-            assert record.instantaneous_costs == (cost,)
+        self.assert_steps_are(dynamic_step, inst, done.trace)
 
     @pytest.mark.parametrize("sid", [1, 5, 7])
     @pytest.mark.parametrize(
@@ -379,12 +370,7 @@ class TestSharedKernels:
     def test_sequential_record_is_the_public_chain(self, sid, order):
         inst = builtin_setting(sid).instance
         done = run_sequential(DynamicRun(inst, "sequential", order=order, seed=sid))
-        for record in done.trace:
-            (i,) = record.arrivals
-            action, after, cost = chained_step(inst, record.loads_before, i)
-            assert record.actions == (action,)
-            assert record.loads_after == after
-            assert record.instantaneous_costs == (cost,)
+        self.assert_steps_are(chained_step, inst, done.trace)
 
     def test_dynamic_step_is_the_public_chain_on_random_loads(self):
         rng = np.random.default_rng(29)
@@ -491,12 +477,10 @@ class TestRunningAverages:
         inst = builtin_setting(5).instance
         done = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
         steady = inst.job_lengths**2 / (2 * inst.total_service_rate)
-        for record in done.trace:
-            if record.t > done.converged_at:
-                i = record.arrivals[0]
-                assert record.instantaneous_costs[0] == pytest.approx(
-                    steady[i], abs=1e-9
-                )
+        after = slice(done.converged_at + 1, None)
+        costs, arrivals = done.trace.costs[after, 0], done.trace.arrivals[after, 0]
+        assert len(costs)
+        assert costs == pytest.approx(steady[arrivals], abs=1e-9)
 
     def test_per_arrival_average_settles_within_five_percent(self):
         # the run halts once drained; every arrival after that costs exactly
@@ -525,15 +509,10 @@ class TestStepRecords:
     def test_transition_consistency(self):
         inst = builtin_setting(6).instance
         done = run_sequential(DynamicRun(inst, "sequential", order="round-robin"))
-        for record in done.trace:
-            contrib = np.zeros(inst.num_servers)
-            for slot, i in enumerate(record.arrivals):
-                contrib += inst.job_lengths[i] * record.actions[slot].fractions
-            expected = np.maximum(
-                record.loads_before.loads + contrib - inst.service_rates, 0.0
-            )
-            assert np.allclose(record.loads_after.loads, expected, atol=1e-12)
-            assert record.total_load == pytest.approx(record.loads_after.total)
+        trace = done.trace
+        work = inst.job_lengths[trace.arrivals][..., None] * trace.fractions
+        expected = np.maximum(trace.loads[:-1] + work.sum(axis=1) - inst.service_rates, 0.0)
+        assert np.allclose(trace.loads[1:], expected, atol=1e-12)
 
     def test_records_are_value_objects(self):
         inst = Instance([1.0], [2.0], [1.0])
@@ -590,10 +569,10 @@ class TestColumnarTrace:
         assert len(records) == len(trace) == trace.costs.shape[0]
         assert trace[-1] == records[-1]
         assert trace[-1].t == len(trace) - 1
-        assert trace[2:5] == tuple(records[2:5])
-        assert trace[::-1][0] == records[-1]
         with pytest.raises(IndexError):
             trace[len(trace)]
+        with pytest.raises(TypeError):
+            trace[2:5]
         for t, record in enumerate(records):
             assert record.t == t
             assert record.arrivals == tuple(range(inst.num_players))

@@ -208,8 +208,8 @@ class TestRunExperiment:
         assert report.static.is_equilibrium
         assert report.sequential.converged_at is not None
         assert report.simultaneous.converged_at is not None
-        assert report.sequential.trace[-1].total_load == 0.0
-        assert report.simultaneous.trace[-1].total_load == 0.0
+        assert not report.sequential.trace.loads[-1].any()
+        assert not report.simultaneous.trace.loads[-1].any()
 
     def test_sequential_beats_simultaneous_on_fixed_settings(self):
         for sid in (5, 6, 7):
@@ -225,10 +225,9 @@ class TestRunExperiment:
         # these seeds draw a job near 6e-5 against queue levels near 18;
         # water-filling from the absolute levels lost the job's low digits
         report = run_experiment(builtin_setting(3), seed=seed)
-        rows = list(report.static.profile.matrix)
-        for run in report.runs.values():
-            rows += [a.fractions for record in run.trace for a in record.actions]
-        assert max(abs(row.sum() - 1.0) for row in rows) <= 1e-12
+        sums = [report.static.profile.matrix.sum(axis=1)]
+        sums += [run.trace.fractions.sum(axis=-1).ravel() for run in report.runs.values()]
+        assert np.max(np.abs(np.concatenate(sums) - 1.0)) <= 1e-12
 
     def test_metric_helpers(self):
         report = run_experiment(builtin_setting(5), seed=1, modes=("sequential",))
@@ -300,11 +299,11 @@ class TestTraceExport:
         path = export_trace(report, tmp_path / "trace.csv")
         lines = path.read_text().splitlines()
         run = report.sequential
-        for line, record in zip(lines[1:], run.trace):
+        for line, after in zip(lines[1:], run.trace.loads[1:]):
             cells = line.split(",")
             loads = np.array([float(c) for c in cells[3:7]])
-            assert np.array_equal(loads, record.loads_after.loads)
-            assert float(cells[7]) == record.total_load
+            assert np.array_equal(loads, after)
+            assert float(cells[7]) == after.sum()
 
     def test_export_writes_manifest(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=3, modes=("sequential",))

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lbgame import (
     Action,
@@ -11,7 +15,6 @@ from lbgame import (
     Trace,
     instantaneous_cost,
     normalized_loads,
-    player_cost,
     player_costs,
     potential,
     social_cost,
@@ -20,6 +23,7 @@ from lbgame import (
 )
 from lbgame.model import _potential_matrix, _wait
 
+import exact as ex
 from conftest import cost_by_summation, random_instance, random_profile
 
 
@@ -183,33 +187,27 @@ class TestPlayerCost:
         inst = Instance([2.0], [1.5, 2.5], [2.0, 4.0])
         profile = ActionProfile([[0.5, 0.5]])
         expected = 1 / 3 + 2 / 1.5 + 1 / 5 + 4 / 2.5
-        assert player_cost(inst, profile, 0) == pytest.approx(expected, abs=1e-12)
+        assert player_costs(inst, profile)[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(3.4667, abs=5e-4)
 
     def test_single_server_arithmetic(self):
         inst = Instance([2.0], [1.0], [0.0])
         profile = ActionProfile([[1.0]])
-        assert player_cost(inst, profile, 0) == pytest.approx(2.0, abs=1e-12)
+        assert player_costs(inst, profile)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(7)
         inst = Instance(rng.uniform(0.5, 2, 3), rng.uniform(0.5, 2, 3), rng.uniform(0, 3, 3))
         profile = random_profile(rng, inst)
         for i in range(3):
-            assert player_cost(inst, profile, i) == pytest.approx(
+            assert player_costs(inst, profile)[i] == pytest.approx(
                 cost_by_summation(inst, profile.matrix, i), rel=1e-12
             )
-
-    def test_index_out_of_range(self):
-        inst = Instance([1.0], [1.0])
-        profile = ActionProfile([[1.0]])
-        with pytest.raises(IndexError):
-            player_cost(inst, profile, 1)
 
     def test_profile_shape_mismatch(self):
         inst = Instance([1.0], [1.0])
         with pytest.raises(ValueError):
-            player_cost(inst, ActionProfile([[0.5, 0.5]]), 0)
+            player_costs(inst, ActionProfile([[0.5, 0.5]]))
 
 
 class TestInstantaneousCost:
@@ -264,7 +262,7 @@ class TestPotential:
             other = ActionProfile(deviated)
             phi = potential(inst, profile)
             delta_phi = phi - potential(inst, other)
-            delta_cost = player_cost(inst, profile, i) - player_cost(inst, other, i)
+            delta_cost = player_costs(inst, profile)[i] - player_costs(inst, other)[i]
             assert abs(delta_phi - delta_cost) <= 1e-9 * max(1.0, abs(phi))
 
     def test_gradient_identity_against_finite_differences(self):
@@ -293,6 +291,47 @@ class TestPotential:
             ) / (2 * step)
             assert fd_potential == pytest.approx(analytic, rel=1e-5, abs=1e-5)
             assert fd_cost == pytest.approx(analytic, rel=1e-5, abs=1e-5)
+
+
+@st.composite
+def rational_deviations(draw):
+    """n, m <= 4 with lambda, mu and s0 on a grid of 1/8, a profile, and one
+    player's move, with rows on a grid of 1/16 that sum to exactly 1. The
+    library's products and sums of work are then exact, and only its
+    divisions by mu and its sums over servers round."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def eighths(low, size):
+        return np.array(draw(st.lists(st.integers(low, 64), min_size=size, max_size=size))) / 8
+
+    def row():
+        cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=m - 1, max_size=m - 1)))
+        return np.diff([0, *cuts, 16]) / 16
+
+    inst = Instance(eighths(1, n), eighths(1, m), eighths(0, m))
+    matrix = np.array([row() for _ in range(n)])
+    i = draw(st.integers(0, n - 1))
+    moved = matrix.copy()
+    moved[i] = row()
+    return inst, ActionProfile(matrix), ActionProfile(moved), i
+
+
+@given(rational_deviations())
+def test_potential_identity_is_exact(case):
+    # In exact arithmetic the potential changes by exactly the mover's cost
+    # change; the library's potential and costs stay within the derived
+    # bounds of the exact values on both profiles.
+    inst, profile, moved, i = case
+    lengths, rates, loads = ex.of(inst)
+    phis, costs = [], []
+    for p in (profile, moved):
+        matrix = [ex.exact(row) for row in p.matrix]
+        phis.append(ex.potential(ex.queued(lengths, loads, matrix), rates))
+        costs.append(ex.player_costs(lengths, rates, loads, matrix))
+        assert abs(Fraction(potential(inst, p)) - phis[-1]) <= ex.POTENTIAL * ex.EPS * phis[-1]
+        for got, want in zip(player_costs(inst, p), costs[-1]):
+            assert abs(Fraction(got) - want) <= ex.COST * ex.EPS * want
+    assert phis[0] - phis[1] == costs[0][i] - costs[1][i]
 
 
 class TestStateTransition:
@@ -364,7 +403,7 @@ class TestSocialCost:
         inst = Instance([1.3], rng.uniform(0.5, 2, 3), rng.uniform(0, 2, 3))
         profile = random_profile(rng, inst)
         assert social_cost(inst, profile) == pytest.approx(
-            player_cost(inst, profile, 0), rel=1e-12
+            player_costs(inst, profile)[0], rel=1e-12
         )
 
     def test_uniform_rows_sum_of_per_player_oracle(self, example_two_by_two):
