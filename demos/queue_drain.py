@@ -15,10 +15,10 @@ import numpy as np
 
 from lbgame import (
     DynamicRun,
+    ExperimentReport,
     builtin_setting,
     export_trace,
     full_support_time,
-    run_experiment,
     run_sequential,
     zero_load_time,
     zero_load_time_alt,
@@ -60,5 +60,5 @@ print("rate-proportional  :", share)
 print("steady arrival cost:", trace.costs[-1, 0], "expected", steady)
 
 out = Path(__file__).with_name("queue_drain_trace.csv")
-export_trace(run_experiment(setting, seed=0, modes=("sequential",)), out)
+export_trace(ExperimentReport(setting.id, 0, inst, sequential=done), out)
 print(f"\ntrace written to {out}")

@@ -23,13 +23,12 @@ from .dynamic import (
     DynamicRun,
     _drain_instance,
     full_support_time,
-    run_sequential,
-    run_simultaneous,
     zero_load_time,
     zero_load_time_alt,
 )
 from .experiments import (
     ExperimentReport,
+    _run_dynamic,
     _run_static,
     builtin_setting,
     builtin_settings,
@@ -106,42 +105,36 @@ def instance_from_config(config: dict) -> Instance:
         raise ConfigError(f"config instance block is invalid: {exc}") from None
 
 
-class _SeedBox:
-    """Resolves the effective seed lazily; prints it when freshly drawn."""
-
-    def __init__(self, flag_value, config_value):
-        self.value = flag_value if flag_value is not None else config_value
-        self._announced = self.value is not None
-
-    def get(self) -> int:
-        if self.value is None:
-            self.value = secrets.randbits(63)
-        if not self._announced:
-            print(f"seed={self.value}")
-            self._announced = True
-        return int(self.value)
-
-
-def _setup(args) -> tuple[dict, _SeedBox, Instance]:
-    # The config, seed and instance that static, dynamic and poa start from.
-    config = load_config(args.config) if args.config else {}
-    seed = _SeedBox(args.seed, config.get("run", {}).get("seed"))
-    if args.setting is not None:
-        spec = builtin_setting(args.setting)
-        inst = spec.instance if spec.instance is not None else setting_instance(spec, seed.get())
-    elif config.get("instance"):
-        inst = instance_from_config(config)
-    else:
-        raise ConfigError("no instance given: pass --setting ID or a config file")
-    return config, seed, inst
-
-
 def _field(args, config: dict, block: str, flag: str, key: str, default=None):
     # A command-line flag overrides the config's ``block.key``.
     value = getattr(args, flag, None)
     if value is not None:
         return value
     return config.get(block, {}).get(key, default)
+
+
+def _announced(seed) -> int:
+    # The seed given, or a freshly drawn one, printed so the run can be repeated.
+    if seed is None:
+        seed = secrets.randbits(63)
+        print(f"seed={seed}")
+    return int(seed)
+
+
+def _setup(args) -> tuple[dict, int | None, Instance]:
+    # The config, seed and instance that static, dynamic and poa start from.
+    config = load_config(args.config) if args.config else {}
+    seed = _field(args, config, "run", "seed", "seed")
+    if args.setting is not None:
+        spec = builtin_setting(args.setting)
+        if spec.generator is not None:
+            seed = _announced(seed)
+        inst = setting_instance(spec, seed)
+    elif config.get("instance"):
+        inst = instance_from_config(config)
+    else:
+        raise ConfigError("no instance given: pass --setting ID or a config file")
+    return config, seed, inst
 
 
 def _parse_order(value):
@@ -190,11 +183,10 @@ def cmd_dynamic(args) -> int:
         raise ConfigError(f"unknown mode: {mode_raw!r} (use seq or simul)")
     order = _parse_order(_field(args, config, "run", "order", "order", "random"))
     max_steps = _field(args, config, "run", "max_steps", "max_steps")
-    run_seed = int(seed.get() if (mode == MODE_SEQUENTIAL and order == "random") else (
-        seed.value if seed.value is not None else 0
-    ))
-    cfg = DynamicRun(inst, mode, order=order, max_steps=max_steps, seed=run_seed)
-    done = run_sequential(cfg) if mode == MODE_SEQUENTIAL else run_simultaneous(cfg)
+    # Only a sequential run in random order uses a seed, so only it draws one.
+    needs_seed = mode == MODE_SEQUENTIAL and order == "random"
+    run_seed = _announced(seed) if needs_seed else 0 if seed is None else int(seed)
+    done = _run_dynamic(DynamicRun(inst, mode, order=order, max_steps=max_steps, seed=run_seed))
     converged = "none" if done.converged_at is None else str(done.converged_at)
     print(f"mode={mode} steps={len(done.trace)} converged_at={converged}")
     bounds = _drain_instance(inst, mode)
@@ -206,13 +198,8 @@ def cmd_dynamic(args) -> int:
     out = _field(args, config, "output", "out", "path")
     if out:
         fmt = _field(args, config, "output", "format", "format", "csv")
-        report = ExperimentReport(
-            setting_id=args.setting if args.setting is not None else "custom",
-            seed=run_seed,
-            instance=inst,
-            sequential=done if mode == MODE_SEQUENTIAL else None,
-            simultaneous=done if mode == MODE_SIMULTANEOUS else None,
-        )
+        setting = args.setting if args.setting is not None else "custom"
+        report = ExperimentReport(setting, run_seed, inst, **{mode: done})
         path = export_trace(report, out, fmt)
         print(f"trace_file={path}")
     return 0
@@ -253,8 +240,7 @@ def cmd_settings(args) -> int:
             print(_describe(spec))
         return 0
     spec = builtin_setting(args.id)
-    seed = _SeedBox(args.seed, None)
-    report = run_experiment(spec, seed=seed.get(), max_steps=args.max_steps)
+    report = run_experiment(spec, _announced(args.seed), args.max_steps)
     if report.static is not None:
         print(
             f"static updates={len(report.static.potentials)} "
@@ -263,12 +249,11 @@ def cmd_settings(args) -> int:
     for mode, run in report.runs.items():
         converged = "none" if run.converged_at is None else str(run.converged_at)
         print(f"{mode} steps={len(run.trace)} converged_at={converged}")
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or "csv"
-    extension = "csv" if fmt == "csv" else "jsonl"
     if report.runs:
-        path = export_trace(report, out_dir / f"setting_{spec.id}_trace.{extension}", fmt)
+        path = export_trace(report, out_dir / f"setting_{spec.id}_trace.{fmt}", fmt)
         print(f"trace_file={path}")
     return 0
 

@@ -162,7 +162,8 @@ def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
     length, rates = inst.job_lengths[i], inst.service_rates
     fractions = _respond(float(length), rates, eff)[0]
     work = length * fractions
-    return Action(fractions), ServerLoads(_drain(eff, work, rates)), float(_wait(work, eff, rates))
+    cost = float(_finite(_wait(work, eff, rates), "instantaneous cost"))
+    return Action(fractions), ServerLoads(_drain(eff, work, rates)), cost
 
 
 def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):

@@ -225,44 +225,27 @@ def _run_static(inst: Instance) -> StaticPassResult:
     return StaticPassResult(profile, tuple(potentials), *is_nash(inst, profile))
 
 
+def _run_dynamic(run: DynamicRun) -> DynamicRun:
+    # The one choice of runner for a run's mode.
+    return run_sequential(run) if run.mode == MODE_SEQUENTIAL else run_simultaneous(run)
+
+
 def run_experiment(
-    setting: SettingSpec,
-    seed: int = 0,
-    max_steps: int | None = None,
-    modes: tuple[str, ...] | None = None,
+    setting: SettingSpec, seed: int = 0, max_steps: int | None = None
 ) -> ExperimentReport:
     """Run the setting's modes and collect the results.
 
     The sequential run draws its arrival order from ``seed``; everything
     else is deterministic given the instance.
     """
-    if modes is None:
-        modes = setting.modes
-    for mode in modes:
-        if mode not in setting.modes:
-            raise ValueError(f"setting {setting.id} does not support mode {mode!r}")
     inst = setting_instance(setting, seed)
-
-    def run_mode(mode: str):
-        if mode == MODE_STATIC:
-            return _run_static(inst)
-        if mode == MODE_SEQUENTIAL:
-            cfg = DynamicRun(
-                inst, MODE_SEQUENTIAL, order="random", seed=seed, max_steps=max_steps
-            )
-            return run_sequential(cfg)
-        cfg = DynamicRun(inst, MODE_SIMULTANEOUS, max_steps=max_steps)
-        return run_simultaneous(cfg)
-
-    results = {mode: run_mode(mode) for mode in modes}
-    return ExperimentReport(
-        setting_id=setting.id,
-        seed=seed,
-        instance=inst,
-        static=results.get(MODE_STATIC),
-        sequential=results.get(MODE_SEQUENTIAL),
-        simultaneous=results.get(MODE_SIMULTANEOUS),
-    )
+    static = _run_static(inst) if MODE_STATIC in setting.modes else None
+    runs = {
+        mode: _run_dynamic(DynamicRun(inst, mode, seed=seed, max_steps=max_steps))
+        for mode in setting.modes
+        if mode != MODE_STATIC
+    }
+    return ExperimentReport(setting.id, seed, inst, static, **runs)
 
 
 def convergence_grid(

@@ -227,10 +227,12 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
 
 
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:
-    """Average wait time of player ``i``'s job against fixed queue loads."""
+    """Average wait time of player ``i``'s job against fixed queue loads. A
+    cost that overflows float64 raises ``ValueError``."""
     _check_player(inst, i)
     work = inst.job_lengths[i] * _per_server(inst, action.fractions, "action")
-    return float(_wait(work, _per_server(inst, loads, "loads"), inst.service_rates))
+    cost = _wait(work, _per_server(inst, loads, "loads"), inst.service_rates)
+    return float(_finite(cost, "instantaneous cost"))
 
 
 def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> np.ndarray:

@@ -279,7 +279,7 @@ def test_criterion_10_update_mode_comparison():
     # one-at-a-time mode is runnable; the ordering holds vacuously there.
     spec2 = builtin_setting(2)
     assert "simultaneous" not in spec2.modes
-    report2 = run_experiment(spec2, seed=1, modes=("sequential",))
+    report2 = run_experiment(spec2, seed=1)
     assert report2.sequential.converged_at is not None
     elapsed = time.perf_counter() - start
     ok = factor_ok

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,49 @@ class TestDynamicCommand:
             assert "seed=" not in out
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestSeedContract:
+    """A command prints ``seed=N`` once where it draws a seed it was not
+    given: for a generated setting, for a sequential run in random order,
+    and always for ``settings run``."""
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (("static", "--setting", "1"), 0),
+            (("dynamic", "--setting", "5", "--mode", "simul"), 0),
+            (("dynamic", "--setting", "5", "--order", "round-robin"), 0),
+            (("dynamic", "--config", "{tmp}/seeded.json"), 0),
+            (("dynamic", "--setting", "3", "--config", "{tmp}/seeded.json"), 0),
+            (("static", "--setting", "2"), 1),
+            (("poa", "--setting", "3"), 1),
+            (("dynamic", "--setting", "3"), 1),
+            (("dynamic", "--setting", "3", "--mode", "simul"), 1),
+            (("settings", "run", "5", "--out", "{tmp}"), 1),
+        ],
+    )
+    def test_seed_lines(self, capsys, tmp_path, argv, lines):
+        seeded = {"instance": {"mu": [1.0, 2.0], "lambda": [0.5, 1.0]}, "run": {"seed": 7}}
+        (tmp_path / "seeded.json").write_text(json.dumps(seeded))
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (code, err) == (0, "")
+        assert [l.startswith("seed=") for l in out.splitlines()].count(True) == lines
+
+    def test_drawn_seed_reruns_the_same_run(self, capsys, tmp_path):
+        # The printed seed, passed back, repeats the run: the same summary
+        # and trace, and a manifest that records that seed.
+        def run(name, *extra):
+            path = tmp_path / f"{name}.csv"
+            code, out, _ = run_cli(capsys, "dynamic", "--setting", "3", *extra, "--out", str(path))
+            assert code == 0
+            manifest = json.loads(Path(f"{path}.manifest.json").read_text())
+            return out.replace(str(path), "TRACE").splitlines(), path.read_bytes(), manifest
+
+        (announced, *summary), trace, manifest = run("drawn")
+        seed = int(announced.removeprefix("seed="))
+        assert run("given", "--seed", str(seed)) == (summary, trace, manifest)
+        assert manifest["seed"] == seed
 
 
 class TestPoaCommand:

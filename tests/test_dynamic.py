@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lbgame import (
@@ -277,6 +277,38 @@ def test_simultaneous_drains_within_the_merged_bounds(inst):
     done = run_simultaneous(DynamicRun(inst, "simultaneous"))
     assert done.converged_at is not None
     assert done.converged_at <= min(zero_load_time(merged), zero_load_time_alt(merged))
+
+
+@st.composite
+def sequential_grid_runs(draw):
+    """A sequential-stable instance with n, m <= 4 and lambda, mu and s0 on
+    a grid of 1/8, plus round-robin or a drawn explicit arrival order."""
+    rates = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    assume(sum(rates) > 1)
+    top = min(16, sum(rates) - 1)
+    lengths = draw(st.lists(st.integers(1, top), min_size=1, max_size=4))
+    loads = draw(st.lists(st.integers(0, 16), min_size=len(rates), max_size=len(rates)))
+    explicit = st.lists(st.integers(0, len(lengths) - 1), min_size=1, max_size=8)
+    order = draw(st.one_of(st.just("round-robin"), explicit))
+    return Instance(np.array(lengths) / 8, np.array(rates) / 8, np.array(loads) / 8), order
+
+
+@settings(deadline=None)
+@given(sequential_grid_runs())
+def test_exact_sequential_drain_within_the_bounds(case):
+    # The exact game drains by the smaller bound. The float run is not held
+    # to it here: its drain rounds once per step and can land a step late.
+    inst, order = case
+    lengths, rates, loads = ex.of(inst)
+    cycle = range(inst.num_players) if order == "round-robin" else order
+    bound = min(zero_load_time(inst), zero_load_time_alt(inst))
+    for t in range(bound + 1):
+        i = cycle[t % len(cycle)]
+        work = [lengths[i] * f for f in ex.respond(lengths[i], rates, loads)]
+        loads = ex.drain(loads, work, rates)
+        if not any(loads):
+            break
+    assert not any(loads), f"queues still hold work after step {bound}"
 
 
 @st.composite

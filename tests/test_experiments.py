@@ -216,10 +216,6 @@ class TestRunExperiment:
             report = run_experiment(builtin_setting(sid), seed=2)
             assert report.sequential.converged_at <= report.simultaneous.converged_at
 
-    def test_unsupported_mode_rejected(self):
-        with pytest.raises(ValueError, match="does not support"):
-            run_experiment(builtin_setting(2), seed=0, modes=("simultaneous",))
-
     @pytest.mark.parametrize("seed", [36, 45, 48])
     def test_tiny_jobs_stay_on_simplex(self, seed):
         # these seeds draw a job near 6e-5 against queue levels near 18;
@@ -230,7 +226,7 @@ class TestRunExperiment:
         assert np.max(np.abs(np.concatenate(sums) - 1.0)) <= 1e-12
 
     def test_metric_helpers(self):
-        report = run_experiment(builtin_setting(5), seed=1, modes=("sequential",))
+        report = run_experiment(builtin_setting(5), seed=1)
         run = report.sequential
         assert not run.trace.loads[-1].any()
         used = np.count_nonzero(run.trace.fractions[-1] > 0, axis=-1)
@@ -271,7 +267,7 @@ class TestTraceExport:
         assert float(row[6]) == pytest.approx(3.4667, abs=5e-4)
 
     def test_jsonl_round_trip(self, tmp_path):
-        report = run_experiment(builtin_setting(5), seed=9, modes=("sequential", "simultaneous"))
+        report = run_experiment(builtin_setting(5), seed=9)
         path = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl")
         loaded = load_trace_jsonl(path)
         assert set(loaded) == {"sequential", "simultaneous"}
@@ -279,7 +275,7 @@ class TestTraceExport:
             assert loaded[mode] == run.trace
 
     def test_jsonl_loads_one_trace_per_mode(self, tmp_path):
-        report = run_experiment(builtin_setting(7), seed=4, modes=("sequential", "simultaneous"))
+        report = run_experiment(builtin_setting(7), seed=4)
         loaded = load_trace_jsonl(write_trace_jsonl(report.runs, tmp_path / "trace.jsonl"))
         for mode, run in report.runs.items():
             assert isinstance(loaded[mode], Trace)
@@ -287,7 +283,7 @@ class TestTraceExport:
             assert np.array_equal(loaded[mode].loads, run.trace.loads)
 
     def test_jsonl_steps_must_chain(self, tmp_path):
-        report = run_experiment(builtin_setting(5), seed=9, modes=("sequential",))
+        report = run_experiment(builtin_setting(5), seed=9)
         lines = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl").read_text().splitlines()
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
@@ -295,7 +291,7 @@ class TestTraceExport:
             load_trace_jsonl(broken)
 
     def test_csv_values_round_trip_exactly(self, tmp_path):
-        report = run_experiment(builtin_setting(5), seed=9, modes=("sequential",))
+        report = run_experiment(builtin_setting(5), seed=9)
         path = export_trace(report, tmp_path / "trace.csv")
         lines = path.read_text().splitlines()
         run = report.sequential
@@ -306,7 +302,7 @@ class TestTraceExport:
             assert float(cells[7]) == after.sum()
 
     def test_export_writes_manifest(self, tmp_path):
-        report = run_experiment(builtin_setting(5), seed=3, modes=("sequential",))
+        report = run_experiment(builtin_setting(5), seed=3)
         path = export_trace(report, tmp_path / "trace.csv")
         manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
         assert manifest["setting"] == 5
@@ -316,7 +312,7 @@ class TestTraceExport:
         assert path.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
-        report = run_experiment(builtin_setting(5), seed=3, modes=("sequential",))
+        report = run_experiment(builtin_setting(5), seed=3)
         with pytest.raises(ValueError, match="format"):
             export_trace(report, tmp_path / "trace.xml", "xml")
 
@@ -353,8 +349,9 @@ def _column_major():
 
 
 def _with_unrun():
-    report = run_experiment(builtin_setting(1), seed=0, modes=("sequential",))
-    return {"simultaneous": DynamicRun(report.instance, "simultaneous"), **report.runs}
+    report = run_experiment(builtin_setting(1), seed=0)
+    unrun = DynamicRun(report.instance, "simultaneous")
+    return {"simultaneous": unrun, "sequential": report.sequential}
 
 
 def _overflowed_total():
@@ -428,22 +425,22 @@ class TestDeterminism:
 
     def test_generated_setting_trace_determinism(self, tmp_path):
         first = export_trace(
-            run_experiment(builtin_setting(3), seed=5, modes=("sequential",)),
+            run_experiment(builtin_setting(3), seed=5),
             tmp_path / "g1.csv",
         )
         second = export_trace(
-            run_experiment(builtin_setting(3), seed=5, modes=("sequential",)),
+            run_experiment(builtin_setting(3), seed=5),
             tmp_path / "g2.csv",
         )
         assert first.read_bytes() == second.read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         first = export_trace(
-            run_experiment(builtin_setting(1), seed=1, modes=("sequential",)),
+            run_experiment(builtin_setting(1), seed=1),
             tmp_path / "s1.csv",
         )
         second = export_trace(
-            run_experiment(builtin_setting(1), seed=2, modes=("sequential",)),
+            run_experiment(builtin_setting(1), seed=2),
             tmp_path / "s2.csv",
         )
         assert first.read_bytes() != second.read_bytes()

@@ -13,6 +13,7 @@ from lbgame import (
     ServerLoads,
     best_response,
     builtin_setting,
+    dynamic_step,
     empirical_poa,
     instantaneous_cost,
     is_nash,
@@ -500,8 +501,28 @@ class TestNonFiniteFailsLoudly:
             (player_costs, heavy, "cost is not finite"),
             (lambda inst, profile: player_costs(inst, profile)[0], heavy, "cost is not finite"),
             (social_cost, heavy, "cost is not finite"),
+            (
+                lambda inst, profile: instantaneous_cost(
+                    inst, Action(profile.matrix[0]), ServerLoads(inst.initial_loads), 0
+                ),
+                heavy,
+                "cost is not finite",
+            ),
+            (
+                lambda inst, _: dynamic_step(inst, ServerLoads(inst.initial_loads), 0),
+                heavy,
+                "cost is not finite",
+            ),
         ],
-        ids=["potential", "opt_lower_bound", "player_costs", "player_cost", "social_cost"],
+        ids=[
+            "potential",
+            "opt_lower_bound",
+            "player_costs",
+            "player_cost",
+            "social_cost",
+            "instantaneous_cost",
+            "dynamic_step",
+        ],
     )
     def test_measures_refuse_overflow(self, measure, inst, match):
         profile, _ = run_sequential_pass(self.base)
