@@ -38,7 +38,6 @@ from .dynamic import (
     DynamicRun,
     StepRecord,
     Trace,
-    dynamic_step,
     full_support_time,
     run_sequential,
     run_simultaneous,
@@ -81,7 +80,6 @@ __all__ = [
     "builtin_setting",
     "builtin_settings",
     "convergence_grid",
-    "dynamic_step",
     "empirical_poa",
     "export_trace",
     "full_support_time",

@@ -49,10 +49,25 @@ class ConfigError(ValueError):
     """A config file failed validation; the message names the offending key."""
 
 
+_TRACE_FORMATS = ("csv", "jsonl")
+
+# Each block's keys, with the check for a value the commands use as given (a
+# bool is no int); the instance or the run checks the others.
 _CONFIG_KEYS = {
-    "instance": ("mu", "lambda", "s0"),
-    "run": ("mode", "order", "seed", "max_steps"),
-    "output": ("path", "format"),
+    "instance": dict.fromkeys(("mu", "lambda", "s0")),
+    "run": {
+        "mode": None,
+        "order": (
+            lambda v: type(v) is str or (type(v) is list and v and all(type(i) is int for i in v)),
+            "round-robin, random, a file path or a non-empty list of player indices",
+        ),
+        "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+        "max_steps": None,
+    },
+    "output": {
+        "path": (lambda v: type(v) is str, "a file path"),
+        "format": (lambda v: v in _TRACE_FORMATS, " or ".join(_TRACE_FORMATS)),
+    },
 }
 
 _MODE_ALIASES = {
@@ -76,9 +91,12 @@ def load_config(path) -> dict:
             raise ConfigError(f"unknown config key: {block}")
         if not isinstance(content, dict):
             raise ConfigError(f"config key {block} must be an object")
-        for key in content:
+        for key, value in content.items():
             if key not in _CONFIG_KEYS[block]:
                 raise ConfigError(f"unknown config key: {block}.{key}")
+            rule = _CONFIG_KEYS[block][key]
+            if rule and not rule[0](value):
+                raise ConfigError(f"config key {block}.{key} must be {rule[1]}")
     return raw
 
 
@@ -118,7 +136,7 @@ def _announced(seed) -> int:
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed={seed}")
-    return int(seed)
+    return seed
 
 
 def _setup(args) -> tuple[dict, int | None, Instance]:
@@ -141,7 +159,7 @@ def _parse_order(value):
     if value is None or value in ("round-robin", "random"):
         return value
     if isinstance(value, list):
-        return tuple(int(v) for v in value)
+        return tuple(value)
     # Anything else is a file holding an explicit arrival sequence.
     text = Path(value).read_text()
     try:
@@ -168,7 +186,7 @@ def cmd_static(args) -> int:
     if out:
         payload = {
             "profile": result.profile.matrix.tolist(),
-            "potential": potentials[-1] if potentials else None,
+            "potential": potentials[-1],
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"profile_file={out}")
@@ -185,7 +203,7 @@ def cmd_dynamic(args) -> int:
     max_steps = _field(args, config, "run", "max_steps", "max_steps")
     # Only a sequential run in random order uses a seed, so only it draws one.
     needs_seed = mode == MODE_SEQUENTIAL and order == "random"
-    run_seed = _announced(seed) if needs_seed else 0 if seed is None else int(seed)
+    run_seed = _announced(seed) if needs_seed else 0 if seed is None else seed
     done = _run_dynamic(DynamicRun(inst, mode, order=order, max_steps=max_steps, seed=run_seed))
     converged = "none" if done.converged_at is None else str(done.converged_at)
     print(f"mode={mode} steps={len(done.trace)} converged_at={converged}")
@@ -214,6 +232,13 @@ def cmd_poa(args) -> int:
     print(f"ne_social_cost={_fmt(social_cost(inst, profile))}")
     print(f"empirical_poa={_fmt(ratio)}")
     return 0
+
+
+def _seed(text: str) -> int:
+    # The ``--seed`` value: a nonnegative integer, as the config's run.seed.
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    return int(text)
 
 
 def _describe(spec) -> str:
@@ -271,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_out=True):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--setting", type=int, metavar="ID", help="builtin setting id (1-7)")
-        p.add_argument("--seed", type=int, metavar="U64", help="seed for all randomness")
+        p.add_argument("--seed", type=_seed, metavar="U64", help="seed for all randomness")
         if with_out:
             p.add_argument("--out", metavar="PATH", help="output file")
 
@@ -288,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival order policy or a file with an explicit sequence",
     )
     p_dynamic.add_argument("--max-steps", dest="max_steps", type=int, metavar="N")
-    p_dynamic.add_argument("--format", choices=["csv", "jsonl"], help="trace format")
+    p_dynamic.add_argument("--format", choices=_TRACE_FORMATS, help="trace format")
     p_dynamic.set_defaults(func=cmd_dynamic)
 
     p_poa = sub.add_parser("poa", help="price-of-anarchy bounds for an instance")
@@ -300,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub_settings.add_parser("list", help="print the catalog")
     p_run = sub_settings.add_parser("run", help="run one setting and export traces")
     p_run.add_argument("id", type=int, help="setting id (1-7)")
-    p_run.add_argument("--seed", type=int, metavar="U64")
+    p_run.add_argument("--seed", type=_seed, metavar="U64")
     p_run.add_argument("--max-steps", dest="max_steps", type=int, metavar="N")
     p_run.add_argument("--out", metavar="DIR", help="output directory")
-    p_run.add_argument("--format", choices=["csv", "jsonl"])
+    p_run.add_argument("--format", choices=_TRACE_FORMATS)
     p_settings.set_defaults(func=cmd_settings)
     return parser
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Action, InfeasibleError, Instance, ServerLoads, _Record
-from .model import _check_player, _drain, _finite, _per_server, _queues, _rows_on_simplex, _wait
+from .model import _check_player, _drain, _finite, _queues, _rows_on_simplex, _wait
 from .static import _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
@@ -95,6 +95,7 @@ class DynamicRun:
     max_steps       horizon cap; defaults to 10x the analytic zero-load
                     bound of the run's mode so a run always terminates. A
                     horizon whose trace could exceed 2**26 values is refused
+    seed            seed of the random order, a nonnegative integer
     trace           the run's :class:`Trace`, with k arrivals per step on
                     the instance's m servers (k = 1 in sequential and n in
                     simultaneous mode); holds no steps until run
@@ -112,8 +113,6 @@ class DynamicRun:
 
     def __post_init__(self):
         inst = self.inst
-        if inst.num_players < 1:
-            raise ValueError("a run needs at least one player")
         if self.mode not in (MODE_SEQUENTIAL, MODE_SIMULTANEOUS):
             raise ValueError(f"unknown mode: {self.mode!r}")
         drain = _stable(inst, self.mode, f"infeasible under {self.mode} updates")
@@ -129,13 +128,11 @@ class DynamicRun:
             object.__setattr__(self, "order", seq)
         if self.max_steps is None:
             object.__setattr__(self, "max_steps", max(2, 10 * zero_load_time(drain)))
-        else:
-            try:
-                object.__setattr__(self, "max_steps", operator.index(self.max_steps))
-            except TypeError:
-                raise ValueError("max_steps must be a positive integer") from None
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be a positive integer")
+        for name, least, kind in (("max_steps", 1, "positive"), ("seed", 0, "nonnegative")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+                raise ValueError(f"{name} must be a {kind} integer")
+            object.__setattr__(self, name, operator.index(value))
         k, m = (1 if self.mode == MODE_SEQUENTIAL else inst.num_players), inst.num_servers
         values = self.max_steps * (k * m + m + 2 * k)
         if values > _MAX_TRACE_VALUES:
@@ -152,18 +149,6 @@ class DynamicRun:
                 "trace does not fit the run: {} arrivals on {} servers per step, expected {} on {}"
                 .format(*self.trace.fractions.shape[1:], k, m)
             )
-
-
-def dynamic_step(inst: Instance, loads: ServerLoads, i: int):
-    """Player ``i`` arrives, best-responds to the observed queues, and the
-    queues drain one step. Returns ``(action, new_loads, cost)``."""
-    _check_player(inst, i)
-    eff = _per_server(inst, loads, "loads")
-    length, rates = inst.job_lengths[i], inst.service_rates
-    fractions = _respond(float(length), rates, eff)[0]
-    work = length * fractions
-    cost = float(_finite(_wait(work, eff, rates), "instantaneous cost"))
-    return Action(fractions), ServerLoads(_drain(eff, work, rates)), cost
 
 
 def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
@@ -305,7 +290,7 @@ def full_support_time(inst: Instance) -> int:
     this step every queue has either emptied (and an empty server always
     gets a share) or already joined the receiving set, which only grows.
     """
-    lead = np.max(np.ceil(inst.initial_loads / inst.service_rates), initial=0.0)
+    lead = np.max(np.ceil(inst.initial_loads / inst.service_rates))
     return int(_finite(lead, "the full-support bound"))
 
 
@@ -329,8 +314,6 @@ def zero_load_time_alt(inst: Instance) -> int:
     possible cases: all servers receiving, only loaded servers receiving, or
     the slowest server emptying what little it still holds.
     """
-    if inst.num_players < 1:
-        raise ValueError("needs at least one player")
     _stable(inst, MODE_SEQUENTIAL, "infeasible for the alternative bound")
     slowest = inst.min_service_rate
     decreases = [inst.total_service_rate - inst.max_job_length, slowest]

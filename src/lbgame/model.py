@@ -25,13 +25,13 @@ class InfeasibleError(ValueError):
     """A run mode's stability requirement does not hold for the instance."""
 
 
-def _array(values, name: str, ndim: int = 1, *, allow_empty: bool = False) -> np.ndarray:
+def _array(values, name: str, ndim: int = 1) -> np.ndarray:
     # A finite, nonnegative float copy of ``values`` with ``ndim`` axes, the
-    # last one nonempty unless ``allow_empty``.
+    # last one nonempty.
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if arr.shape[-1] == 0 and not allow_empty:
+    if arr.shape[-1] == 0:
         raise ValueError(f"{name} must not be empty")
     return _queues(arr, name)
 
@@ -77,14 +77,11 @@ class _Record:
 class Instance(_Record):
     """Immutable parameters of one load-balancing game.
 
-    job_lengths    work units per player's job, all positive
+    job_lengths    work units per player's job, all positive; at least
+                   one player
     service_rates  work units each server drains per step, all positive
     initial_loads  work units already queued per server, nonnegative
                    (defaults to empty queues)
-
-    An empty ``job_lengths`` vector is allowed so that pure-drain and
-    spectator computations stay expressible; operations that need at least
-    one player raise on it.
     """
 
     job_lengths: np.ndarray
@@ -92,7 +89,7 @@ class Instance(_Record):
     initial_loads: np.ndarray | None = None
 
     def __post_init__(self):
-        lengths = _array(self.job_lengths, "job_lengths", allow_empty=True)
+        lengths = _array(self.job_lengths, "job_lengths")
         rates = _array(self.service_rates, "service_rates")
         if self.initial_loads is None:
             loads = np.zeros(rates.size)
@@ -118,11 +115,11 @@ class Instance(_Record):
 
     @property
     def max_job_length(self) -> float:
-        return float(self.job_lengths.max()) if self.num_players else 0.0
+        return float(self.job_lengths.max())
 
     @property
     def min_job_length(self) -> float:
-        return float(self.job_lengths.min()) if self.num_players else 0.0
+        return float(self.job_lengths.min())
 
     @property
     def min_service_rate(self) -> float:

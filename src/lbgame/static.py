@@ -231,14 +231,12 @@ def is_nash(inst: Instance, profile: ActionProfile) -> NashCheck:
     levels = normalized_loads(inst, profile)
     work = inst.job_lengths[:, None] * profile.matrix
     gaps = _finite(work @ (levels - levels.min()), "equilibrium gap")
-    return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max(initial=0.0)))
+    return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max()))
 
 
 def poa_upper_bound(inst: Instance) -> float:
     """Analytic cap on how much selfish splitting can cost relative to the
     coordinated optimum. Falls back to 3 when all queues start empty."""
-    if inst.num_players < 1:
-        raise ValueError("needs at least one player")
     backlog = float(np.max(inst.initial_loads / inst.service_rates))
     crowding = backlog + inst.total_job_length / inst.min_service_rate
     bound = 1.0 + 2.0 * crowding * inst.total_service_rate / inst.total_job_length
@@ -255,8 +253,6 @@ def opt_lower_bound(inst: Instance) -> float:
     best response uses (here pouring the combined job mass over the initial
     backlog levels). A bound that overflows float64 raises ``ValueError``.
     """
-    if inst.num_players < 1:
-        raise ValueError("needs at least one player")
     rates = inst.service_rates
     amounts = _water_fill(inst.total_job_length, rates, inst.initial_loads / rates)[0]
     bound = float(np.sum((amounts**2 / 2.0 + inst.initial_loads * amounts) / rates))

@@ -293,6 +293,38 @@ class TestErrorSurface:
         assert err.count("\n") == 1
         assert err.startswith("lbgame: error:")
 
+    @pytest.mark.parametrize(
+        "argv, config, code, key",
+        [
+            (("static",), {"output": {"path": 5}}, 1, "output.path"),
+            (("dynamic",), {"output": {"path": 5}}, 1, "output.path"),
+            (("dynamic",), {"run": {"order": 5}}, 1, "run.order"),
+            (("dynamic",), {"run": {"order": {}}}, 1, "run.order"),
+            (("dynamic",), {"run": {"order": [0, "a"]}}, 1, "run.order"),
+            (("dynamic",), {"run": {"seed": "x"}}, 1, "run.seed"),
+            (("static",), {"run": {"seed": "x"}}, 1, "run.seed"),
+            (("poa",), {"run": {"seed": "x"}}, 1, "run.seed"),
+            (("dynamic",), {"run": {"seed": 1.7}}, 1, "run.seed"),
+            (("dynamic",), {"run": {"seed": True}}, 1, "run.seed"),
+            (("dynamic",), {"run": {"seed": -3}}, 1, "run.seed"),
+            (("dynamic",), {"output": {"path": "t.csv", "format": "xml"}}, 1, "output.format"),
+            (("dynamic",), {"run": {"order": "round-robin", "max_steps": True}}, 1, "max_steps"),
+            (("dynamic", "--seed", "-3"), {}, 2, "--seed"),
+            (("dynamic", "--seed", "x"), {}, 2, "--seed"),
+            (("settings", "run", "1", "--seed", "-3"), None, 2, "--seed"),
+        ],
+    )
+    def test_bad_value_is_one_line_naming_its_key(self, capsys, config_file, argv, config, code, key):
+        # Each bad value fails before the run starts, as one line that names
+        # the config key or the flag.
+        instance = {"instance": {"mu": [1.0, 2.0], "lambda": [0.5, 1.0]}}
+        extra = () if config is None else ("--config", config_file({**instance, **config}))
+        got, out, err = run_cli(capsys, *argv, *extra)
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1
+        assert err.startswith("lbgame: error:")
+        assert key in err
+
     def test_config_not_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

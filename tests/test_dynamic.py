@@ -16,7 +16,6 @@ from lbgame import (
     Trace,
     best_response,
     builtin_setting,
-    dynamic_step,
     full_support_time,
     generate_instance,
     instantaneous_cost,
@@ -33,13 +32,13 @@ from lbgame import dynamic, model, static
 from lbgame.dynamic import StepRecord
 
 import exact as ex
-from conftest import random_instance
 
 
 def chained_step(inst, loads, i):
     """One sequential step by the validated public chain, independent of the
     engine's raw kernel: best response, its cost against the observed
-    queues, then the drain."""
+    queues, then the drain. Returns ``(action, new_loads, cost)``; the
+    reference for every recorded step."""
     action = best_response(inst, i, loads).action
     cost = instantaneous_cost(inst, action, loads, i)
     after = state_transition(inst, loads, inst.job_lengths[i] * action.fractions)
@@ -49,19 +48,19 @@ def chained_step(inst, loads, i):
 class TestDynamicStep:
     def test_empty_queues_are_absorbing(self):
         inst = Instance([1.0, 2.0], [1.5, 2.5])
-        action, after, _ = dynamic_step(inst, ServerLoads([0.0, 0.0]), 1)
+        action, after, _ = chained_step(inst, ServerLoads([0.0, 0.0]), 1)
         assert np.allclose(action.fractions, inst.service_rates / inst.total_service_rate)
         assert np.array_equal(after.loads, [0.0, 0.0])
 
     def test_worked_continuation(self):
         inst = Instance([1.0, 2.0], [1.5, 2.5], [2.0, 4.0])
-        action, after, _ = dynamic_step(inst, ServerLoads([1.5, 2.5]), 0)
+        action, after, _ = chained_step(inst, ServerLoads([1.5, 2.5]), 0)
         assert np.allclose(action.fractions, [0.375, 0.625])
         assert np.allclose(after.loads, [0.375, 0.625])
 
     def test_single_server(self):
         inst = Instance([1.0], [2.0], [5.0])
-        action, after, _ = dynamic_step(inst, ServerLoads([5.0]), 0)
+        action, after, _ = chained_step(inst, ServerLoads([5.0]), 0)
         assert np.array_equal(action.fractions, [1.0])
         assert after.loads[0] == pytest.approx(4.0, abs=1e-12)
 
@@ -100,6 +99,27 @@ class TestRunConfig:
             DynamicRun(inst, "sequential", order=(0, 2))
         with pytest.raises(ValueError):
             DynamicRun(inst, "sequential", order="fifo")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_steps", True, "max_steps must be a positive integer"),
+            ("max_steps", 0, "max_steps must be a positive integer"),
+            ("max_steps", 2.0, "max_steps must be a positive integer"),
+            ("seed", "x", "seed must be a nonnegative integer"),
+            ("seed", -1, "seed must be a nonnegative integer"),
+            ("seed", 1.7, "seed must be a nonnegative integer"),
+            ("seed", False, "seed must be a nonnegative integer"),
+        ],
+    )
+    def test_integer_settings_refused_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DynamicRun(Instance([1.0], [2.0]), "sequential", **{field: value})
+
+    def test_integer_settings_accept_numpy_integers(self):
+        run = DynamicRun(Instance([1.0], [2.0]), "sequential", max_steps=np.int64(3), seed=np.uint64(4))
+        assert (run.max_steps, run.seed) == (3, 4)
+        assert (type(run.max_steps), type(run.seed)) == (int, int)
 
     def test_mode_checked_at_run_time(self):
         inst = Instance([1.0], [2.0])
@@ -375,7 +395,7 @@ class TestSharedKernels:
             # The queues drain as one player holding all the work: every
             # equilibrium of the round places that player's water-fill.
             merged = Instance([inst.total_job_length], inst.service_rates, before.loads)
-            assert np.array_equal(trace.loads[t + 1], dynamic_step(merged, before, 0)[1].loads)
+            assert np.array_equal(trace.loads[t + 1], chained_step(merged, before, 0)[1].loads)
 
     @staticmethod
     def assert_steps_are(step, inst, trace):
@@ -387,13 +407,14 @@ class TestSharedKernels:
             assert np.array_equal(trace.loads[t + 1], after.loads)
             assert trace.costs[t, 0] == cost
 
-    # Generated settings 2, 3 and 4 put wide rows (m = 200, 50, 100) through
-    # the batched pricing of a sequential run.
+    # Each recorded step is one step of the dynamic game, checked against the
+    # public chain. Generated settings 2, 3 and 4 put wide rows (m = 200, 50,
+    # 100) through the batched pricing of a sequential run.
     @pytest.mark.parametrize("sid", [2, 3, 4, 5, 7])
     def test_sequential_record_is_dynamic_step(self, sid):
         inst = setting_instance(builtin_setting(sid), 0)
         done = run_sequential(DynamicRun(inst, "sequential", order="random", seed=sid))
-        self.assert_steps_are(dynamic_step, inst, done.trace)
+        self.assert_steps_are(chained_step, inst, done.trace)
 
     @pytest.mark.parametrize("sid", [1, 5, 7])
     @pytest.mark.parametrize(
@@ -403,20 +424,6 @@ class TestSharedKernels:
         inst = builtin_setting(sid).instance
         done = run_sequential(DynamicRun(inst, "sequential", order=order, seed=sid))
         self.assert_steps_are(chained_step, inst, done.trace)
-
-    def test_dynamic_step_is_the_public_chain_on_random_loads(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            inst = random_instance(rng)
-            raw = rng.uniform(0.0, 5.0, inst.num_servers)
-            raw[rng.random(inst.num_servers) < 0.3] = 0.0
-            loads = ServerLoads(raw)
-            i = int(rng.integers(inst.num_players))
-            action, after, cost = dynamic_step(inst, loads, i)
-            want_action, want_after, want_cost = chained_step(inst, loads, i)
-            assert action == want_action
-            assert after == want_after
-            assert cost == want_cost
 
     @pytest.mark.parametrize("sid", [1, 3, 5, 7])
     def test_pricing_block_size_changes_no_bit(self, sid, monkeypatch):
@@ -438,7 +445,7 @@ class TestSharedKernels:
             raise AssertionError("the stepping loop called a validated public function")
 
         for module in (dynamic, model, static):
-            for name in ("best_response", "instantaneous_cost", "state_transition", "dynamic_step"):
+            for name in ("best_response", "instantaneous_cost", "state_transition"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         inst = builtin_setting(sid).instance
         assert run_sequential(DynamicRun(inst, "sequential", seed=sid)).converged_at is not None

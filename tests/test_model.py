@@ -19,7 +19,6 @@ from lbgame import (
     potential,
     social_cost,
     state_transition,
-    zero_load_time,
 )
 from lbgame.model import _potential_matrix, _wait
 
@@ -61,17 +60,12 @@ class TestInstance:
             ([1.0], [1.0], [-0.1]),
             ([1.0], [1.0, 1.0], [0.0]),
             ([1.0], [], [0.0]),
+            ([], [1.0], [0.0]),
         ],
     )
     def test_rejects_invalid_parameters(self, lengths, rates, loads):
         with pytest.raises(ValueError):
             Instance(lengths, rates, loads)
-
-    def test_no_players_is_allowed(self):
-        inst = Instance([], [1.0, 2.0], [3.0, 4.0])
-        assert inst.num_players == 0
-        # ceil(3 + 7 / 3): the slower server's backlog empties after 3 steps
-        assert zero_load_time(inst) == 6
 
     def test_immutability(self):
         inst = Instance([1.0], [1.0])
@@ -242,13 +236,6 @@ class TestPotential:
         # 0.75 * ((2 + 1 + 1) / 1.5)^2 + 1.25 * ((4 + 0 + 1) / 2.5)^2 = 31/3
         assert potential(example_two_by_two, profile) == pytest.approx(31 / 3, rel=1e-12)
 
-    def test_empty_game_reduces_to_backlog_term(self):
-        inst = Instance([], [1.0, 2.0], [3.0, 1.0])
-        profile = ActionProfile(np.zeros((0, 2)))
-        assert potential(inst, profile) == pytest.approx(9 / 2 + 1 / 4, rel=1e-12)
-        zero = Instance([], [1.0, 2.0], [0.0, 0.0])
-        assert potential(zero, profile) == 0.0
-
     def test_unilateral_deviation_identity(self):
         # the potential change under one player's move equals that player's
         # cost change, for random instances, profiles, and deviations
@@ -373,11 +360,6 @@ class TestNormalizedLoads:
         profile = ActionProfile(np.tile(share, (3, 1)))
         levels = normalized_loads(inst, profile)
         assert np.allclose(levels, inst.total_job_length / inst.total_service_rate)
-
-    def test_no_players(self):
-        inst = Instance([], [2.0, 4.0], [1.0, 2.0])
-        levels = normalized_loads(inst, ActionProfile(np.zeros((0, 2))))
-        assert np.allclose(levels, [0.5, 0.5])
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(17)

@@ -13,7 +13,6 @@ from lbgame import (
     ServerLoads,
     best_response,
     builtin_setting,
-    dynamic_step,
     empirical_poa,
     instantaneous_cost,
     is_nash,
@@ -508,11 +507,6 @@ class TestNonFiniteFailsLoudly:
                 heavy,
                 "cost is not finite",
             ),
-            (
-                lambda inst, _: dynamic_step(inst, ServerLoads(inst.initial_loads), 0),
-                heavy,
-                "cost is not finite",
-            ),
         ],
         ids=[
             "potential",
@@ -521,7 +515,6 @@ class TestNonFiniteFailsLoudly:
             "player_cost",
             "social_cost",
             "instantaneous_cost",
-            "dynamic_step",
         ],
     )
     def test_measures_refuse_overflow(self, measure, inst, match):
@@ -546,12 +539,6 @@ class TestIsNash:
         check = is_nash(inst, profile)
         assert not check.is_equilibrium
         assert check.max_improvement > 1e-3
-
-    def test_no_players_vacuously_true(self):
-        inst = Instance([], [1.0, 1.0])
-        check = is_nash(inst, ActionProfile(np.zeros((0, 2))))
-        assert check.is_equilibrium
-        assert check.max_improvement == 0.0
 
     def test_equal_normalized_loads_on_support_at_equilibrium(self):
         rng = np.random.default_rng(53)
@@ -664,10 +651,6 @@ class TestPoaBounds:
         rng = np.random.default_rng(59)
         for _ in range(50):
             assert poa_upper_bound(random_instance(rng)) >= 1.0
-
-    def test_needs_players(self):
-        with pytest.raises(ValueError):
-            poa_upper_bound(Instance([], [1.0]))
 
 
 class TestOptLowerBound:
