@@ -160,15 +160,17 @@ def _parse_order(value):
         return value
     if isinstance(value, list):
         return tuple(value)
-    # Anything else is a file holding an explicit arrival sequence.
+    # Anything else is a file holding an explicit arrival sequence: indices
+    # apart by whitespace, or a JSON list of them.
     text = Path(value).read_text()
+    tokens = text.split()
     try:
-        seq = json.loads(text)
+        seq = [int(v) for v in tokens] if all(map(str.isdecimal, tokens)) else json.loads(text)
     except json.JSONDecodeError:
-        seq = text.split()
-    if not isinstance(seq, list) or not seq:
+        seq = None
+    if not isinstance(seq, list) or not seq or not all(type(v) is int for v in seq):
         raise ConfigError(f"order file {value} must hold a non-empty list of indices")
-    return tuple(int(v) for v in seq)
+    return tuple(seq)
 
 
 def cmd_static(args) -> int:

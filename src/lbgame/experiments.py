@@ -25,7 +25,7 @@ from .dynamic import (
     run_sequential,
     run_simultaneous,
 )
-from .model import ActionProfile, Instance
+from .model import ActionProfile, Instance, _integer
 from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"
@@ -166,7 +166,7 @@ def generate_instance(
     if seed is None:
         raise ValueError("a seed is required to generate an instance")
     modes = (MODE_SEQUENTIAL, MODE_SIMULTANEOUS) if require_simultaneous else (MODE_SEQUENTIAL,)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     for _ in range(_ATTEMPTS):
         rates = rng.uniform(*spec.service_rate_range, spec.num_servers)
         lengths = rng.uniform(*spec.job_length_range, spec.num_players)

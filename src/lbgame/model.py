@@ -13,6 +13,7 @@ share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,21 @@ def _check_profile(inst: Instance, profile: ActionProfile) -> None:
 def _check_player(inst: Instance, i: int) -> None:
     if not 0 <= i < inst.num_players:
         raise IndexError(f"player index {i} out of range for {inst.num_players} players")
+
+
+# What ``_integer`` asks for, by its least allowed value.
+_INTEGER_KINDS = {None: "an", 0: "a nonnegative", 1: "a positive"}
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    # The one check of an integer from outside the program, such as a seed,
+    # a step cap or a player index: an ``__index__`` value that is not a
+    # bool, and at least ``least`` when given. Returns it as a Python int.
+    if not isinstance(value, bool) and hasattr(value, "__index__"):
+        value = operator.index(value)
+        if least is None or value >= least:
+            return value
+    raise ValueError(f"{name} must be {_INTEGER_KINDS[least]} integer")
 
 
 def _per_server(inst: Instance, values, name: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from .model import (
     _check_player,
     _check_profile,
     _finite,
+    _integer,
     _per_server,
     _potential_of,
     normalized_loads,
@@ -130,11 +131,12 @@ def _respond(length, rates: np.ndarray, loads: np.ndarray):
     # finite and nonnegative: one row of m, or a (B, m) batch with one
     # ``length`` or a (B, 1) column of them. Returns ``(fractions, level,
     # support, order)`` batched like ``loads``. One row keeps the 1-D kernel,
-    # which the step loop and the static pass call once per step or update
-    # (15,616 times on ``long_drain``, 2,000 on ``scaled_equilibrium``): at m=8
-    # a (1, m) row costs 4.7x as much through ``_water_fill_rows`` (34 vs 7.1 us,
-    # 2-core Xeon, numpy 2.4), and 2.9x through a sorted-order rewrite of it
-    # (20.6 us) that was bitwise equal on 20,000 random rows.
+    # which the static pass calls once per update (2,000 times on
+    # ``scaled_equilibrium``), as does the array step of a drain on more
+    # servers than ``dynamic._FLOAT_SERVERS``: at m=8 a (1, m) row costs 4.7x
+    # as much through ``_water_fill_rows`` (34 vs 7.1 us, 2-core Xeon, numpy
+    # 2.4), and 2.9x through a sorted-order rewrite of it (20.6 us) that was
+    # bitwise equal on 20,000 random rows.
     fill = _water_fill if loads.ndim == 1 else _water_fill_rows
     amounts, level, support, order = fill(length, rates, loads / rates)
     return amounts / length, level, support, order
@@ -167,9 +169,7 @@ def run_sequential_pass(
     if initial is None:
         initial = ActionProfile.uniform(n, m)
     _check_profile(inst, initial)
-    if order is None:
-        order = range(n)
-    order = [int(i) for i in order]
+    order = list(range(n)) if order is None else [_integer(i, "order entry") for i in order]
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all player indices")
     matrix = initial.matrix.copy()

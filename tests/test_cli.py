@@ -149,6 +149,14 @@ class TestDynamicCommand:
         assert code == 0
         assert "converged_at=49" in out
 
+    @pytest.mark.parametrize("text", ["0 1\n2 3\n", "3"], ids=["whitespace", "one-index"])
+    def test_whitespace_order_file(self, capsys, tmp_path, text):
+        order_path = tmp_path / "order.txt"
+        order_path.write_text(text)
+        code, out, _ = run_cli(capsys, "dynamic", "--setting", "5", "--order", str(order_path))
+        assert code == 0
+        assert "converged_at=49" in out
+
     def test_flags_override_config(self, capsys, config_file, tmp_path):
         path = config_file(
             {
@@ -324,6 +332,14 @@ class TestErrorSurface:
         assert err.count("\n") == 1
         assert err.startswith("lbgame: error:")
         assert key in err
+
+    @pytest.mark.parametrize("text", ["0 a", "[0.5, 1, true]", "[]", "", '{"order": [0]}'])
+    def test_bad_order_file_is_one_line_naming_it(self, capsys, tmp_path, text):
+        path = tmp_path / "order.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "dynamic", "--setting", "5", "--order", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"lbgame: error: order file {path} must hold a non-empty list of indices\n"
 
     def test_config_not_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

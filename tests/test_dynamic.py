@@ -110,6 +110,9 @@ class TestRunConfig:
             ("seed", -1, "seed must be a nonnegative integer"),
             ("seed", 1.7, "seed must be a nonnegative integer"),
             ("seed", False, "seed must be a nonnegative integer"),
+            ("order", (0, 0.5), "explicit order entry must be an integer"),
+            ("order", (0, True), "explicit order entry must be an integer"),
+            ("order", ("0",), "explicit order entry must be an integer"),
         ],
     )
     def test_integer_settings_refused_when_built(self, field, value, message):
@@ -117,9 +120,12 @@ class TestRunConfig:
             DynamicRun(Instance([1.0], [2.0]), "sequential", **{field: value})
 
     def test_integer_settings_accept_numpy_integers(self):
-        run = DynamicRun(Instance([1.0], [2.0]), "sequential", max_steps=np.int64(3), seed=np.uint64(4))
-        assert (run.max_steps, run.seed) == (3, 4)
-        assert (type(run.max_steps), type(run.seed)) == (int, int)
+        run = DynamicRun(
+            Instance([1.0], [2.0]), "sequential", order=(np.int32(0),),
+            max_steps=np.int64(3), seed=np.uint64(4),
+        )
+        assert (run.order, run.max_steps, run.seed) == ((0,), 3, 4)
+        assert (type(run.order[0]), type(run.max_steps), type(run.seed)) == (int, int, int)
 
     def test_mode_checked_at_run_time(self):
         inst = Instance([1.0], [2.0])
@@ -450,6 +456,61 @@ class TestSharedKernels:
         inst = builtin_setting(sid).instance
         assert run_sequential(DynamicRun(inst, "sequential", seed=sid)).converged_at is not None
         assert run_simultaneous(DynamicRun(inst, "simultaneous")).converged_at is not None
+
+
+class TestStepPaths:
+    """Drain instances of up to ``_FLOAT_SERVERS`` servers step on Python
+    floats, wider ones on arrays; forced onto either path, a run must give
+    the same bits."""
+
+    @staticmethod
+    def assert_paths_agree(monkeypatch, play, cfg):
+        runs = []
+        for cap in (0, 10**9):  # every drain on arrays, then every one on floats
+            monkeypatch.setattr(dynamic, "_FLOAT_SERVERS", cap)
+            runs.append(play(cfg))
+        arrays, floats = runs
+        assert arrays.trace == floats.trace
+        # Array equality takes -0.0 for 0.0; the bytes do not.
+        assert arrays.trace.loads.tobytes() == floats.trace.loads.tobytes()
+        assert arrays.converged_at == floats.converged_at
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sid", range(1, 8))
+    def test_catalog_runs_agree(self, sid, seed, monkeypatch):
+        setting = builtin_setting(sid)
+        inst = setting_instance(setting, seed)
+        for mode, play in (("sequential", run_sequential), ("simultaneous", run_simultaneous)):
+            if mode in setting.modes:
+                self.assert_paths_agree(monkeypatch, play, DynamicRun(inst, mode, seed=seed))
+
+    def test_long_drain_shaped_run_agrees(self, monkeypatch):
+        spec = GeneratorSpec(64, 8, (1.0, 2.0), (0.5, 1.5), (1e4, 2e4))
+        cfg = DynamicRun(generate_instance(spec, 7), "sequential", seed=0, max_steps=2000)
+        self.assert_paths_agree(monkeypatch, run_sequential, cfg)
+
+
+@st.composite
+def drain_steps(draw):
+    """One drain step's ``(length, rates, loads)``: m from 1 to 8 or at the
+    float-step switch and one above it; rates and loads from small grids
+    (tied levels, exact and negative zeros) or wide ranges; a job of
+    ordinary size or far below its queues."""
+    m = draw(st.integers(1, 8) | st.sampled_from([dynamic._FLOAT_SERVERS, dynamic._FLOAT_SERVERS + 1]))
+    rates = st.sampled_from([0.25, 0.5, 1.0, 3.0]) | st.floats(1e-3, 1e3)
+    loads = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e6)
+    length = draw(st.sampled_from([1.0, 2.0**-40]) | st.floats(1e-9, 1e3))
+    vector = lambda values: np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    return length, vector(rates), vector(loads)
+
+
+@settings(deadline=None)
+@given(drain_steps())
+def test_float_step_is_the_array_step(step):
+    length, rates, loads = step
+    want = model._drain(loads, length * static._respond(length, rates, loads)[0], rates)
+    got = np.array(dynamic._float_step(length, rates.tolist(), loads.tolist()))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestBounds:

@@ -189,6 +189,11 @@ class TestGeneration:
         with pytest.raises(ValueError, match="seed"):
             generate_instance(GeneratorSpec(1, 1, (1, 2), (0.1, 0.5), (0, 1)))
 
+    @pytest.mark.parametrize("seed", [1.7, -1, True, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            generate_instance(GeneratorSpec(1, 1, (1, 2), (0.1, 0.5), (0, 1)), seed)
+
     def test_recipe_validation(self):
         with pytest.raises(ValueError, match="lo <= hi"):
             GeneratorSpec(1, 1, (2, 1), (0.1, 0.5), (0, 1))

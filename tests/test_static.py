@@ -227,6 +227,12 @@ class TestSequentialPass:
         with pytest.raises(ValueError):
             run_sequential_pass(inst, order=[0, 0])
 
+    @pytest.mark.parametrize("entry", [0.5, True, "0"])
+    def test_order_entries_must_be_integers(self, entry):
+        inst = Instance([1.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="^order entry must be an integer$"):
+            run_sequential_pass(inst, order=[entry, 1])
+
 
 def reference_pass(inst, initial, order):
     """The from-scratch pass: rebuilds every other player's work before each
