@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Action, InfeasibleError, Instance, ServerLoads, _Record
-from .model import _check_player, _drain, _finite, _integer, _queues, _rows_on_simplex, _wait
+from .model import _BLOCK, _blocks, _check_player, _drain, _finite, _integer, _queues
+from .model import _rows_on_simplex, _wait
 from .static import _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
@@ -28,9 +29,6 @@ MODE_SIMULTANEOUS = "simultaneous"
 
 # Largest trace a run may hold, counted in values over all columns.
 _MAX_TRACE_VALUES = 2**26
-
-# About how many values one of ``_blocks`` holds.
-_BLOCK = 2**14
 
 # Most servers a drain step runs on Python floats for. A step on a few
 # servers is mostly per-call overhead on arrays, which floats avoid, but the
@@ -181,17 +179,8 @@ def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
         queues, lengths = observed[block], inst.job_lengths[arrivals[block], None]
         if k == 1:
             fractions[block, 0] = _respond(lengths[:, 0], rates, queues)[0]
-        costs[block] = _wait(lengths * fractions[block], queues[:, None], rates)
+        costs[block] = _wait(lengths * fractions[block], queues[:, None] / rates, rates)
     return fractions, costs
-
-
-def _blocks(steps: int, k: int, m: int):
-    # The one block rule: ``steps`` steps of k arrivals on m servers as
-    # ``(start, stop)`` ranges of about ``_BLOCK`` fraction values, at least
-    # one step. It bounds pricing temporaries and the trace writers' memory.
-    rows = max(1, _BLOCK // (k * m))
-    for start in range(0, steps, rows):
-        yield start, min(start + rows, steps)
 
 
 def _arrivals(run: DynamicRun):

@@ -20,12 +20,11 @@ from .dynamic import (
     MODE_SIMULTANEOUS,
     DynamicRun,
     Trace,
-    _blocks,
     _stable,
     run_sequential,
     run_simultaneous,
 )
-from .model import ActionProfile, Instance, _integer
+from .model import ActionProfile, Instance, _blocks, _integer
 from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"

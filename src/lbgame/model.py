@@ -21,6 +21,9 @@ import numpy as np
 # Absolute tolerance for "fractions sum to one" checks.
 SIMPLEX_ATOL = 1e-9
 
+# About how many values one of ``_blocks`` holds.
+_BLOCK = 2**14
+
 
 class InfeasibleError(ValueError):
     """A run mode's stability requirement does not hold for the instance."""
@@ -174,6 +177,15 @@ class ServerLoads(_Record):
         return float(self.loads.sum())
 
 
+def _blocks(steps: int, k: int, m: int):
+    # The one block rule: ``steps`` steps of k arrivals on m servers as
+    # ``(start, stop)`` ranges of about ``_BLOCK`` fraction values, at least
+    # one step. It bounds pricing temporaries and the trace writers' memory.
+    rows = max(1, _BLOCK // (k * m))
+    for start in range(0, steps, rows):
+        yield start, min(start + rows, steps)
+
+
 def _check_profile(inst: Instance, profile: ActionProfile) -> None:
     if profile.matrix.shape != (inst.num_players, inst.num_servers):
         raise ValueError(
@@ -234,9 +246,11 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     that overflows float64 raises ``ValueError``.
     """
     _check_profile(inst, profile)
+    rates = inst.service_rates
     work = inst.job_lengths[:, None] * profile.matrix
-    queued = inst.initial_loads + work.sum(axis=0)
-    return _finite(_wait(work, queued - work, inst.service_rates), "player cost")
+    ahead = inst.initial_loads + work.sum(axis=0) - work
+    ahead /= rates
+    return _finite(_wait(work, ahead, rates), "player cost")
 
 
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:
@@ -244,17 +258,19 @@ def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: in
     cost that overflows float64 raises ``ValueError``."""
     _check_player(inst, i)
     work = inst.job_lengths[i] * _per_server(inst, action.fractions, "action")
-    cost = _wait(work, _per_server(inst, loads, "loads"), inst.service_rates)
+    rates = inst.service_rates
+    cost = _wait(work, _per_server(inst, loads, "loads") / rates, rates)
     return float(_finite(cost, "instantaneous cost"))
 
 
-def _wait(work: np.ndarray, loads: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _wait(work: np.ndarray, ahead: np.ndarray, rates: np.ndarray) -> np.ndarray:
     # The one copy of the wait formula: per row of ``work`` (summed over the
-    # last axis), the average wait of that work joining queues that hold
-    # ``loads``. A 1-D ``work`` gives a 0-d result. ``loads`` broadcasts to
-    # ``work``, and the terms build in place so a batch holds one temporary.
+    # last axis), the average wait of that work joining queues whose loads
+    # take ``ahead`` = loads / rates steps to drain. A 1-D ``work`` gives a
+    # 0-d result. ``ahead`` broadcasts to ``work``, and the terms build in
+    # place so a batch holds one temporary.
     terms = work / (2.0 * rates)
-    terms += loads / rates
+    terms += ahead
     terms *= work
     return np.sum(terms, axis=-1)
 

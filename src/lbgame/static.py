@@ -18,15 +18,14 @@ from .model import (
     Action,
     ActionProfile,
     Instance,
+    _blocks,
     _check_player,
     _check_profile,
     _finite,
     _integer,
     _per_server,
-    _potential_of,
     normalized_loads,
     player_costs,
-    social_cost,
 )
 
 
@@ -38,12 +37,12 @@ def _water_fill(total: float, rates: np.ndarray, levels: np.ndarray):
     # off the support), that level, the support size and the permutation.
     # Unchecked: callers pass positive ``total`` and rates, finite levels.
     order = levels.argsort(kind="stable")
+    sorted_levels = levels[order]
     # Heights above the lowest channel: a total far below the levels would
     # otherwise cancel against them and lose its low digits.
-    base = levels[order[0]]
-    heights = levels - base
+    base = sorted_levels[0]
+    sorted_heights = sorted_levels - base
     sorted_rates = rates[order]
-    sorted_heights = heights[order]
     cum_rate = sorted_rates.cumsum()
     cum_load = (sorted_rates * sorted_heights).cumsum()
     m = rates.size
@@ -54,23 +53,28 @@ def _water_fill(total: float, rates: np.ndarray, levels: np.ndarray):
         if hits.size:
             support = int(hits[0]) + 1
     level = (total + cum_load[support - 1]) / cum_rate[support - 1]
-    chosen = order[:support]
     amounts = np.zeros(m)
     # Clip float dust: exact arithmetic keeps these strictly positive.
-    amounts[chosen] = np.maximum(rates[chosen] * (level - heights[chosen]), 0.0)
+    amounts[order[:support]] = np.maximum(
+        sorted_rates[:support] * (level - sorted_heights[:support]), 0.0
+    )
     return amounts, float(base + level), support, order
 
 
 def _water_fill_rows(totals, rates: np.ndarray, levels: np.ndarray):
     # ``_water_fill`` on each row of a (B, m) ``levels``, with ``totals`` a
     # scalar or one total per row. The same operations in the same order per
-    # row, so every row gives the same bits as the 1-D kernel. Returns
-    # ``(amounts, level, support, order)`` with a leading axis of B.
+    # row, so every row gives the same bits as the 1-D kernel: one flat
+    # gather puts each row in sorted order, and one flat scatter puts the
+    # amounts back. Returns ``(amounts, level, support, order)`` with a
+    # leading axis of B.
+    count, m = levels.shape
     order = np.argsort(levels, axis=-1, kind="stable")
-    base = np.take_along_axis(levels, order[:, :1], axis=-1)
-    heights = levels - base
+    flat = (order + m * np.arange(count)[:, None]).ravel()
+    sorted_levels = levels.ravel()[flat].reshape(count, m)
+    base = sorted_levels[:, 0]
+    sorted_heights = sorted_levels - base[:, None]
     sorted_rates = rates[order]
-    sorted_heights = np.take_along_axis(heights, order, axis=-1)
     cum_rate = np.cumsum(sorted_rates, axis=-1)
     cum_load = np.cumsum(sorted_rates * sorted_heights, axis=-1)
     total = np.reshape(totals, (-1, 1))
@@ -78,14 +82,13 @@ def _water_fill_rows(totals, rates: np.ndarray, levels: np.ndarray):
     stop = np.ones(levels.shape, dtype=bool)
     stop[:, :-1] = sorted_heights[:, 1:] * cum_rate[:, :-1] >= total + cum_load[:, :-1]
     support = stop.argmax(axis=-1) + 1
-    last = (support - 1)[:, None]
-    level = (total + np.take_along_axis(cum_load, last, axis=-1)) / np.take_along_axis(
-        cum_rate, last, axis=-1
-    )
-    chosen = np.empty(levels.shape, dtype=bool)
-    np.put_along_axis(chosen, order, np.arange(rates.size) < support[:, None], axis=-1)
-    amounts = np.where(chosen, np.maximum(rates * (level - heights), 0.0), 0.0)
-    return amounts, (base + level)[:, 0], support, order
+    last = np.arange(count), support - 1
+    level = (total[:, 0] + cum_load[last]) / cum_rate[last]
+    sorted_amounts = np.maximum(sorted_rates * (level[:, None] - sorted_heights), 0.0)
+    sorted_amounts[np.arange(m) >= support[:, None]] = 0.0
+    amounts = np.empty(count * m)
+    amounts[flat] = sorted_amounts.ravel()
+    return amounts.reshape(count, m), base + level, support, order
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +136,10 @@ def _respond(length, rates: np.ndarray, loads: np.ndarray):
     # support, order)`` batched like ``loads``. One row keeps the 1-D kernel,
     # which the static pass calls once per update (2,000 times on
     # ``scaled_equilibrium``), as does the array step of a drain on more
-    # servers than ``dynamic._FLOAT_SERVERS``: at m=8 a (1, m) row costs 4.7x
-    # as much through ``_water_fill_rows`` (34 vs 7.1 us, 2-core Xeon, numpy
-    # 2.4), and 2.9x through a sorted-order rewrite of it (20.6 us) that was
-    # bitwise equal on 20,000 random rows.
+    # servers than ``dynamic._FLOAT_SERVERS``: a (1, m) row costs 3.1x as
+    # much through ``_water_fill_rows`` at m=8 and m=50 (45.6 vs 14.8 and
+    # 47.5 vs 15.3 us) and 2.0x at m=500 (62.5 vs 31.5 us); medians of 25
+    # interleaved runs, 2-core Xeon, numpy 2.4, shared host.
     fill = _water_fill if loads.ndim == 1 else _water_fill_rows
     amounts, level, support, order = fill(length, rates, loads / rates)
     return amounts / length, level, support, order
@@ -151,15 +154,17 @@ def run_sequential_pass(
 
     Each player, in the given order, replaces its row with the best response
     to the initial loads plus everyone else's current rows. Starting from
-    any strictly positive profile (the default is uniform), one full pass
-    lands on a pure equilibrium.
+    any strictly positive profile (the default is uniform, built as a raw
+    array), one full pass lands on a pure equilibrium.
 
     Returns ``(profile, potentials)`` with the potential value recorded
     after each update; the sequence never increases.
 
     Costs O(n·m log m): one water-fill per update. The pass keeps running
     per-server totals of the players' work and applies each update to them
-    as a delta, so each potential costs O(m). Drift guard: at the end, the
+    as a delta. The queues after each update are copied into one reused
+    block of rows, and each full block is priced at once, every row with
+    the bits of a potential summed alone. Drift guard: at the end, the
     totals are summed afresh from the final profile, and a gap above 1e-9
     of the largest total raises ``RuntimeError``. A potential that is not
     finite, because the instance's magnitudes overflow float64, raises
@@ -167,17 +172,26 @@ def run_sequential_pass(
     """
     n, m = inst.num_players, inst.num_servers
     if initial is None:
-        initial = ActionProfile.uniform(n, m)
-    _check_profile(inst, initial)
+        matrix = np.full((n, m), 1.0 / m)
+    else:
+        _check_profile(inst, initial)
+        matrix = initial.matrix.copy()
     order = list(range(n)) if order is None else [_integer(i, "order entry") for i in order]
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all player indices")
-    matrix = initial.matrix.copy()
-    loads, rates = inst.initial_loads, inst.service_rates
-    potentials = [
-        _potential_of(loads + totals, rates)
-        for totals in _pass(inst, loads, matrix, order)
-    ]
+    loads, doubled = inst.initial_loads, 2.0 * inst.service_rates
+    updates = _pass(inst, loads, matrix, order)
+    blocks = list(_blocks(n, 1, m))
+    queued, potentials = np.empty((blocks[0][1], m)), []
+    for start, stop in blocks:
+        block = queued[: stop - start]
+        # ``zip`` stops on the block's end before it asks for another update.
+        for row, totals in zip(block, updates):
+            np.add(loads, totals, out=row)
+        # numpy sums each contiguous row pairwise, like ``_potential_of``.
+        potentials += np.sum(block * block / doubled, axis=1).tolist()
+    for _ in updates:  # runs the drift guard
+        pass
     return ActionProfile(matrix), _finite(potentials, "potential")
 
 
@@ -187,18 +201,25 @@ def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
     # games, one per row of (B, m) loads. Keeps the running per-server
     # totals of the players' work and yields them after each update; checks
     # each game's totals for drift at the end. Only lambda and mu are read
-    # from ``inst``.
+    # from ``inst``. Every update reuses the same two buffers.
     lengths, rates = inst.job_lengths, inst.service_rates
     totals = lengths @ matrix
+    mine, effective = np.empty_like(totals), np.empty_like(totals)
     for i in order:
         length, row = lengths[i], matrix[..., i, :]
-        mine = length * row
-        # Cancellation in ``totals - mine`` can leave -1e-16 where the other
-        # players hold nothing; the water-fill needs nonnegative loads.
-        effective = np.maximum(loads + (totals - mine), 0.0)
+        np.multiply(length, row, out=mine)
+        # ``loads + (totals - mine)``, clamped: cancellation can leave -1e-16
+        # where the other players hold nothing, and the water-fill needs
+        # nonnegative loads.
+        np.subtract(totals, mine, out=effective)
+        np.add(loads, effective, out=effective)
+        np.maximum(effective, 0.0, out=effective)
         fractions = _respond(length, rates, effective)[0]
-        totals += length * fractions - mine
         row[...] = fractions
+        # ``totals += length * fractions - mine`` on the fresh fractions.
+        fractions *= length
+        fractions -= mine
+        totals += fractions
         yield totals
     fresh = lengths @ matrix
     drift = np.max(np.abs(totals - fresh), axis=-1)
@@ -227,11 +248,16 @@ def is_nash(inst: Instance, profile: ActionProfile) -> NashCheck:
     the lowest level) bounds its gain from moving alone and is 0 exactly at
     an equilibrium. Float64 overflow raises ValueError.
     """
+    return _nash(inst, profile)[0]
+
+
+def _nash(inst: Instance, profile: ActionProfile):
+    # ``is_nash``'s check and the player costs it was judged against.
     costs = player_costs(inst, profile)
     levels = normalized_loads(inst, profile)
     work = inst.job_lengths[:, None] * profile.matrix
     gaps = _finite(work @ (levels - levels.min()), "equilibrium gap")
-    return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max()))
+    return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max())), costs
 
 
 def poa_upper_bound(inst: Instance) -> float:
@@ -266,10 +292,11 @@ def empirical_poa(inst: Instance, ne_profile: ActionProfile) -> float:
     Conservative: never smaller than the true inefficiency ratio of that
     equilibrium, and always below :func:`poa_upper_bound`.
     """
-    check = is_nash(inst, ne_profile)
+    check, costs = _nash(inst, ne_profile)
     if not check.is_equilibrium:
         raise ValueError(
             "profile fails the equilibrium check: a unilateral move improves "
             f"some cost by up to {check.max_improvement:.3e}"
         )
-    return social_cost(inst, ne_profile) / opt_lower_bound(inst)
+    # The bits of ``social_cost``, from the costs already priced.
+    return _finite(float(costs.sum()), "social cost") / opt_lower_bound(inst)

@@ -184,6 +184,26 @@ class TestSequentialRuns:
             assert not np.any(supports[:-1] & ~supports[1:]), "supports must be nested"
             assert supports[full_support_time(inst) :].all()
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_every_response_spans_all_servers_from_the_lead_time(self, data):
+        # Up to 6 players on up to 40 servers, stable in sequential play,
+        # with backlogs of up to 30 steps of service, some queues empty,
+        # some level with others, and a random order. From
+        # ``full_support_time`` on, every best response puts work on every
+        # server.
+        m, n = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+        rate = st.one_of(st.floats(0.1, 10.0), st.sampled_from([0.5, 1.0, 2.0]))
+        rates = np.array(data.draw(st.lists(rate, min_size=m, max_size=m)))
+        backlog = st.one_of(st.just(0.0), st.integers(1, 30).map(float), st.floats(0.0, 30.0))
+        steps = np.array(data.draw(st.lists(backlog, min_size=m, max_size=m)))
+        shares = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+        inst = Instance(shares * rates.sum(), rates, steps * rates)
+        lead = full_support_time(inst)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        done = run_sequential(DynamicRun(inst, "sequential", seed=seed, max_steps=lead + 50))
+        assert np.all(done.trace.fractions[lead:] > 0.0)
+
     def test_converged_state_is_absorbing_across_orders(self):
         inst = builtin_setting(6).instance
         for seed in range(5):
@@ -439,6 +459,7 @@ class TestSharedKernels:
         configs = (DynamicRun(inst, "sequential", seed=sid), DynamicRun(inst, "simultaneous"))
         plays = (run_sequential, run_simultaneous)
         default = [play(cfg) for play, cfg in zip(plays, configs)]
+        monkeypatch.setattr(model, "_BLOCK", 16)
         monkeypatch.setattr(dynamic, "_BLOCK", 16)
         for play, cfg, want in zip(plays, configs, default):
             done = play(cfg)

@@ -25,7 +25,7 @@ from lbgame import (
     write_trace_jsonl,
 )
 from lbgame import experiments
-from lbgame.dynamic import _BLOCK
+from lbgame.model import _BLOCK
 from lbgame.experiments import ExperimentReport
 from lbgame.model import Action
 

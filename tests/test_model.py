@@ -272,9 +272,9 @@ class TestPotential:
             up[i, j] += step
             down[i, j] -= step
             fd_potential = (_potential_matrix(inst, up) - _potential_matrix(inst, down)) / (2 * step)
-            rates = inst.service_rates
+            rates, wait = inst.service_rates, ahead / inst.service_rates
             fd_cost = (
-                _wait(length * up[i], ahead, rates) - _wait(length * down[i], ahead, rates)
+                _wait(length * up[i], wait, rates) - _wait(length * down[i], wait, rates)
             ) / (2 * step)
             assert fd_potential == pytest.approx(analytic, rel=1e-5, abs=1e-5)
             assert fd_cost == pytest.approx(analytic, rel=1e-5, abs=1e-5)

@@ -25,7 +25,8 @@ from lbgame import (
     setting_instance,
     social_cost,
 )
-from lbgame.model import _potential_matrix
+from lbgame import model
+from lbgame.model import _blocks, _potential_matrix, _potential_of
 from lbgame.static import _pass, _water_fill, _water_fill_rows
 
 import exact as ex
@@ -459,6 +460,95 @@ class TestRawKernels:
         with pytest.raises(RuntimeError, match="drifted"):
             for totals in _pass(inst, loads, matrix, [0, 1]):
                 totals[2, 0] += 1e-3
+
+
+def replayed_potentials(inst, matrix, order):
+    """The pass replayed with one ``_potential_of`` per update: the pricing
+    that the block pricing must reproduce bit for bit."""
+    loads, rates = inst.initial_loads, inst.service_rates
+    return [_potential_of(loads + totals, rates) for totals in _pass(inst, loads, matrix, order)]
+
+
+class TestBlockPricing:
+    def test_several_full_blocks_and_a_partial_one(self):
+        m = 2**13
+        assert list(_blocks(5, 1, m)) == [(0, 2), (2, 4), (4, 5)]
+        rng = np.random.default_rng(8)
+        inst = Instance(rng.uniform(0.5, 2.0, 5), rng.uniform(0.2, 3.0, m), rng.uniform(0.0, 5.0, m))
+        order = [3, 0, 4, 1, 2]
+        _, potentials = run_sequential_pass(inst, order=order)
+        assert potentials == replayed_potentials(inst, np.full((5, m), 1.0 / m), order)
+
+    @settings(deadline=None)
+    @given(pass_case(), st.integers(1, 13))
+    def test_every_block_size_prices_each_update_alone(self, case, rows):
+        # ``rows`` updates per block; 13 puts all of at most 12 in one.
+        inst, start, order = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_BLOCK", rows * inst.num_servers)
+            profile, potentials = run_sequential_pass(inst, initial=start, order=order)
+        matrix = start.matrix.copy()
+        assert potentials == replayed_potentials(inst, matrix, order)
+        assert profile.matrix.tobytes() == matrix.tobytes()
+
+
+def former_player_costs(inst, matrix):
+    """``player_costs`` as it was written before it priced in place: the
+    wait of each row's work behind ``(s0 + W) - work``."""
+    rates = inst.service_rates
+    work = inst.job_lengths[:, None] * matrix
+    queued = inst.initial_loads + work.sum(axis=0)
+    terms = work / (2.0 * rates)
+    terms += (queued - work) / rates
+    terms *= work
+    return np.sum(terms, axis=-1)
+
+
+class TestPricingKeepsItsBits:
+    """The in-place pricing gives the bits of the formulas it replaced."""
+
+    @staticmethod
+    def profiles(rng):
+        # Random profiles, some rows all on one server (zero entries), and
+        # some with the last server unused (a zero column); plus setting 2
+        # (500 players, 200 servers) and its pass equilibrium.
+        for k in range(150):
+            inst = random_instance(rng, max_players=12, max_servers=12, zero_loads=k % 4 == 0)
+            n, m = inst.num_players, inst.num_servers
+            matrix = random_profile(rng, inst).matrix.copy()
+            for i in np.flatnonzero(rng.random(n) < 0.3):
+                matrix[i] = np.eye(m)[rng.integers(max(1, m - 1))]
+            yield inst, ActionProfile(matrix)
+        inst = setting_instance(builtin_setting(2), 0)
+        yield inst, ActionProfile.uniform(inst.num_players, inst.num_servers)
+        yield inst, run_sequential_pass(inst)[0]
+
+    def test_player_costs_equal_the_former_formula(self):
+        for inst, profile in self.profiles(np.random.default_rng(29)):
+            want = former_player_costs(inst, profile.matrix)
+            assert player_costs(inst, profile).tobytes() == want.tobytes()
+
+    def test_empirical_poa_is_social_cost_over_the_optimum_bound(self):
+        rng = np.random.default_rng(31)
+        for sid in range(1, 8):
+            inst = setting_instance(builtin_setting(sid), 0)
+            profile = run_sequential_pass(inst)[0]
+            assert empirical_poa(inst, profile) == social_cost(inst, profile) / opt_lower_bound(inst)
+        for _ in range(100):
+            inst = random_instance(rng, max_players=12, max_servers=12)
+            profile = run_sequential_pass(inst, order=rng.permutation(inst.num_players))[0]
+            assert empirical_poa(inst, profile) == social_cost(inst, profile) / opt_lower_bound(inst)
+
+    def test_default_start_is_the_uniform_profile(self):
+        rng = np.random.default_rng(37)
+        cases = [setting_instance(builtin_setting(sid), 0) for sid in range(1, 8)]
+        cases += [random_instance(rng, max_players=12, max_servers=12) for _ in range(50)]
+        for inst in cases:
+            uniform = ActionProfile.uniform(inst.num_players, inst.num_servers)
+            profile, potentials = run_sequential_pass(inst)
+            want_profile, want_potentials = run_sequential_pass(inst, uniform)
+            assert profile.matrix.tobytes() == want_profile.matrix.tobytes()
+            assert potentials == want_potentials
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
