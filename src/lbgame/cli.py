@@ -27,6 +27,7 @@ from .dynamic import (
     zero_load_time_alt,
 )
 from .experiments import (
+    _TRACE_FORMATS,
     ExperimentReport,
     _run_dynamic,
     _run_static,
@@ -36,39 +37,14 @@ from .experiments import (
     run_experiment,
     setting_instance,
 )
-from .model import InfeasibleError, Instance, social_cost
-from .static import empirical_poa, opt_lower_bound, poa_upper_bound, run_sequential_pass
+from .model import Instance
+from .static import _poa, poa_upper_bound, run_sequential_pass
 
 
 def _fmt(x: float) -> str:
     # repr of a Python float is the shortest string that parses back exactly.
     return repr(float(x))
 
-
-class ConfigError(ValueError):
-    """A config file failed validation; the message names the offending key."""
-
-
-_TRACE_FORMATS = ("csv", "jsonl")
-
-# Each block's keys, with the check for a value the commands use as given (a
-# bool is no int); the instance or the run checks the others.
-_CONFIG_KEYS = {
-    "instance": dict.fromkeys(("mu", "lambda", "s0")),
-    "run": {
-        "mode": None,
-        "order": (
-            lambda v: type(v) is str or (type(v) is list and v and all(type(i) is int for i in v)),
-            "round-robin, random, a file path or a non-empty list of player indices",
-        ),
-        "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
-        "max_steps": None,
-    },
-    "output": {
-        "path": (lambda v: type(v) is str, "a file path"),
-        "format": (lambda v: v in _TRACE_FORMATS, " or ".join(_TRACE_FORMATS)),
-    },
-}
 
 _MODE_ALIASES = {
     "seq": MODE_SEQUENTIAL,
@@ -77,50 +53,64 @@ _MODE_ALIASES = {
     "simultaneous": MODE_SIMULTANEOUS,
 }
 
+# Each block's keys, with the check of a value's kind (a bool is no number);
+# ``Instance`` checks what the numbers must satisfy.
+_CONFIG_KEYS = {
+    "instance": dict.fromkeys(
+        ("mu", "lambda", "s0"),
+        (
+            lambda v: type(v) is list and v and all(type(x) in (int, float) for x in v),
+            "a non-empty list of numbers",
+        ),
+    ),
+    "run": {
+        "mode": (lambda v: type(v) is str and v in _MODE_ALIASES, " or ".join(_MODE_ALIASES)),
+        "order": (
+            lambda v: type(v) is str or (type(v) is list and v and all(type(i) is int for i in v)),
+            "round-robin, random, a file path or a non-empty list of player indices",
+        ),
+        "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+        "max_steps": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    },
+    "output": {
+        "path": (lambda v: type(v) is str, "a file path"),
+        "format": (lambda v: v in _TRACE_FORMATS, " or ".join(_TRACE_FORMATS)),
+    },
+}
+
 
 def load_config(path) -> dict:
     """Parse and validate a JSON config document; unknown keys are errors."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raise ValueError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     for block, content in raw.items():
         if block not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key: {block}")
+            raise ValueError(f"unknown config key: {block}")
         if not isinstance(content, dict):
-            raise ConfigError(f"config key {block} must be an object")
+            raise ValueError(f"config key {block} must be an object")
         for key, value in content.items():
             if key not in _CONFIG_KEYS[block]:
-                raise ConfigError(f"unknown config key: {block}.{key}")
-            rule = _CONFIG_KEYS[block][key]
-            if rule and not rule[0](value):
-                raise ConfigError(f"config key {block}.{key} must be {rule[1]}")
+                raise ValueError(f"unknown config key: {block}.{key}")
+            check, kind = _CONFIG_KEYS[block][key]
+            if not check(value):
+                raise ValueError(f"config key {block}.{key} must be {kind}")
     return raw
-
-
-def _number_list(values, key: str) -> list[float]:
-    if not isinstance(values, list) or not values or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ConfigError(f"config key {key} must be a non-empty list of numbers")
-    return [float(v) for v in values]
 
 
 def instance_from_config(config: dict) -> Instance:
     block = config.get("instance")
     if not block:
-        raise ConfigError("config is missing the instance block")
+        raise ValueError("no instance given: pass --setting ID or a config file")
     if "mu" not in block or "lambda" not in block:
-        raise ConfigError("config instance block needs both mu and lambda")
-    rates = _number_list(block["mu"], "instance.mu")
-    lengths = _number_list(block["lambda"], "instance.lambda")
-    loads = _number_list(block["s0"], "instance.s0") if "s0" in block else None
+        raise ValueError("config instance block needs both mu and lambda")
     try:
-        return Instance(lengths, rates, loads)
+        return Instance(block["lambda"], block["mu"], block.get("s0"))
     except ValueError as exc:
-        raise ConfigError(f"config instance block is invalid: {exc}") from None
+        raise ValueError(f"config instance block is invalid: {exc}") from None
 
 
 def _field(args, config: dict, block: str, flag: str, key: str, default=None):
@@ -148,15 +138,13 @@ def _setup(args) -> tuple[dict, int | None, Instance]:
         if spec.generator is not None:
             seed = _announced(seed)
         inst = setting_instance(spec, seed)
-    elif config.get("instance"):
-        inst = instance_from_config(config)
     else:
-        raise ConfigError("no instance given: pass --setting ID or a config file")
+        inst = instance_from_config(config)
     return config, seed, inst
 
 
 def _parse_order(value):
-    if value is None or value in ("round-robin", "random"):
+    if value in ("round-robin", "random"):
         return value
     if isinstance(value, list):
         return tuple(value)
@@ -169,7 +157,7 @@ def _parse_order(value):
     except json.JSONDecodeError:
         seq = None
     if not isinstance(seq, list) or not seq or not all(type(v) is int for v in seq):
-        raise ConfigError(f"order file {value} must hold a non-empty list of indices")
+        raise ValueError(f"order file {value} must hold a non-empty list of indices")
     return tuple(seq)
 
 
@@ -197,10 +185,7 @@ def cmd_static(args) -> int:
 
 def cmd_dynamic(args) -> int:
     config, seed, inst = _setup(args)
-    mode_raw = _field(args, config, "run", "mode", "mode", "seq")
-    mode = _MODE_ALIASES.get(str(mode_raw))
-    if mode is None:
-        raise ConfigError(f"unknown mode: {mode_raw!r} (use seq or simul)")
+    mode = _MODE_ALIASES[_field(args, config, "run", "mode", "mode", "seq")]
     order = _parse_order(_field(args, config, "run", "order", "order", "random"))
     max_steps = _field(args, config, "run", "max_steps", "max_steps")
     # Only a sequential run in random order uses a seed, so only it draws one.
@@ -228,11 +213,11 @@ def cmd_dynamic(args) -> int:
 def cmd_poa(args) -> int:
     _, _, inst = _setup(args)
     profile, _ = run_sequential_pass(inst)
-    ratio = empirical_poa(inst, profile)
+    cost, bound = _poa(inst, profile)
     print(f"poa_upper_bound={_fmt(poa_upper_bound(inst))}")
-    print(f"opt_lower_bound={_fmt(opt_lower_bound(inst))}")
-    print(f"ne_social_cost={_fmt(social_cost(inst, profile))}")
-    print(f"empirical_poa={_fmt(ratio)}")
+    print(f"opt_lower_bound={_fmt(bound)}")
+    print(f"ne_social_cost={_fmt(cost)}")
+    print(f"empirical_poa={_fmt(cost / bound)}")
     return 0
 
 
@@ -347,7 +332,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigError, InfeasibleError, ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"lbgame: error: {message}", file=sys.stderr)
         return 1

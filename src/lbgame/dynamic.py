@@ -135,11 +135,9 @@ class DynamicRun:
             if self.order not in (ORDER_ROUND_ROBIN, ORDER_RANDOM):
                 raise ValueError(f"unknown order policy: {self.order!r}")
         else:
-            seq = tuple(_integer(i, "explicit order entry") for i in self.order)
+            seq = tuple(_check_player(inst, i, "explicit order entry") for i in self.order)
             if not seq:
                 raise ValueError("explicit order sequence must not be empty")
-            for i in seq:
-                _check_player(inst, i)
             object.__setattr__(self, "order", seq)
         if self.max_steps is None:
             object.__setattr__(self, "max_steps", max(2, 10 * zero_load_time(drain)))

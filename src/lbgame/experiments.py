@@ -29,8 +29,16 @@ from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"
 
+_ALL_MODES = (MODE_STATIC, MODE_SEQUENTIAL, MODE_SIMULTANEOUS)
+# Settings whose sampled total job mass exceeds the total service rate run
+# without the simultaneous mode: that mode's stability condition cannot hold.
+_NO_SIMULTANEOUS = (MODE_STATIC, MODE_SEQUENTIAL)
+
 # Draws generate_instance makes before it gives up on a recipe.
 _ATTEMPTS = 100
+
+# The trace formats ``export_trace`` writes, each by ``write_trace_<format>``.
+_TRACE_FORMATS = ("csv", "jsonl")
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,8 @@ class GeneratorSpec:
     initial_load_range: tuple[float, float]
 
     def __post_init__(self):
-        if self.num_players < 1 or self.num_servers < 1:
-            raise ValueError("generator sizes must be positive")
+        for name in ("num_players", "num_servers"):
+            _integer(getattr(self, name), name, 1)
         for name in ("service_rate_range", "job_length_range", "initial_load_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
@@ -67,14 +75,8 @@ class SettingSpec:
         if (self.instance is None) == (self.generator is None):
             raise ValueError("a setting needs exactly one of instance or generator")
         for mode in self.modes:
-            if mode not in (MODE_STATIC, MODE_SEQUENTIAL, MODE_SIMULTANEOUS):
+            if mode not in _ALL_MODES:
                 raise ValueError(f"unknown mode: {mode!r}")
-
-
-_ALL_MODES = (MODE_STATIC, MODE_SEQUENTIAL, MODE_SIMULTANEOUS)
-# Settings whose sampled total job mass exceeds the total service rate run
-# without the simultaneous mode: that mode's stability condition cannot hold.
-_NO_SIMULTANEOUS = (MODE_STATIC, MODE_SEQUENTIAL)
 
 
 def _fixed(setting_id, rates, lengths, loads, description):
@@ -142,10 +144,9 @@ def _catalog() -> dict[int, SettingSpec]:
 
 def builtin_setting(setting_id: int) -> SettingSpec:
     """The benchmark setting with the given id (1 through 7)."""
-    catalog = _catalog()
     try:
-        return catalog[int(setting_id)]
-    except (KeyError, TypeError, ValueError):
+        return _catalog()[_integer(setting_id, "setting id")]
+    except KeyError:
         raise ValueError(f"unknown setting: {setting_id!r}") from None
 
 
@@ -162,8 +163,6 @@ def generate_instance(
     of sequential runs (and of simultaneous ones when requested), and
     fails after 100 tries.
     """
-    if seed is None:
-        raise ValueError("a seed is required to generate an instance")
     modes = (MODE_SEQUENTIAL, MODE_SIMULTANEOUS) if require_simultaneous else (MODE_SEQUENTIAL,)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     for _ in range(_ATTEMPTS):
@@ -265,13 +264,11 @@ def convergence_grid(
     """
     player_counts = list(player_counts)
     server_counts = list(server_counts)
-    children = np.random.SeedSequence(seed).spawn(len(player_counts) * len(server_counts))
+    children = iter(np.random.SeedSequence(seed).spawn(len(player_counts) * len(server_counts)))
     grid = np.empty((len(player_counts), len(server_counts)), dtype=int)
-    k = 0
     for a, n in enumerate(player_counts):
         for b, m in enumerate(server_counts):
-            cell_seed = int(children[k].generate_state(1, np.uint64)[0])
-            k += 1
+            cell_seed = int(next(children).generate_state(1, np.uint64)[0])
             spec = GeneratorSpec(
                 n, m, service_rate_range, job_length_range, initial_load_range
             )
@@ -415,12 +412,10 @@ def export_trace(report: ExperimentReport, path, fmt: str = "csv") -> Path:
     """Write the report's dynamic traces plus a manifest next to them."""
     if not report.runs:
         raise ValueError("report holds no dynamic runs to export")
-    if fmt == "csv":
-        out = write_trace_csv(report.runs, path)
-    elif fmt == "jsonl":
-        out = write_trace_jsonl(report.runs, path)
-    else:
+    if fmt not in _TRACE_FORMATS:
         raise ValueError(f"unknown trace format: {fmt!r}")
+    # Looked up at call time, so a writer rebound on this module is the one used.
+    out = (write_trace_csv if fmt == "csv" else write_trace_jsonl)(report.runs, path)
     manifest = Path(str(out) + ".manifest.json")
     manifest.write_text(json.dumps(_manifest_payload(report), sort_keys=True, indent=2) + "\n")
     return out

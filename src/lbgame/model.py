@@ -31,8 +31,11 @@ class InfeasibleError(ValueError):
 
 def _array(values, name: str, ndim: int = 1) -> np.ndarray:
     # A finite, nonnegative float copy of ``values`` with ``ndim`` axes, the
-    # last one nonempty.
-    arr = np.array(values, dtype=float)
+    # last one nonempty. An integer float64 cannot hold is not finite.
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must contain only finite values") from None
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.shape[-1] == 0:
@@ -194,11 +197,6 @@ def _check_profile(inst: Instance, profile: ActionProfile) -> None:
         )
 
 
-def _check_player(inst: Instance, i: int) -> None:
-    if not 0 <= i < inst.num_players:
-        raise IndexError(f"player index {i} out of range for {inst.num_players} players")
-
-
 # What ``_integer`` asks for, by its least allowed value.
 _INTEGER_KINDS = {None: "an", 0: "a nonnegative", 1: "a positive"}
 
@@ -212,6 +210,14 @@ def _integer(value, name: str, least: int | None = None) -> int:
         if least is None or value >= least:
             return value
     raise ValueError(f"{name} must be {_INTEGER_KINDS[least]} integer")
+
+
+def _check_player(inst: Instance, i: int, name: str = "player index") -> int:
+    # A player index from outside, called ``name``, returned as a Python int.
+    i = _integer(i, name)
+    if not 0 <= i < inst.num_players:
+        raise IndexError(f"player index {i} out of range for {inst.num_players} players")
+    return i
 
 
 def _per_server(inst: Instance, values, name: str) -> np.ndarray:
@@ -256,7 +262,7 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:
     """Average wait time of player ``i``'s job against fixed queue loads. A
     cost that overflows float64 raises ``ValueError``."""
-    _check_player(inst, i)
+    i = _check_player(inst, i)
     work = inst.job_lengths[i] * _per_server(inst, action.fractions, "action")
     rates = inst.service_rates
     cost = _wait(work, _per_server(inst, loads, "loads") / rates, rates)

@@ -116,7 +116,7 @@ def best_response(inst: Instance, i: int, effective_loads) -> BestResponseResult
     result is the unique minimizer of the player's wait time over the
     simplex.
     """
-    _check_player(inst, i)
+    i = _check_player(inst, i)
     eff = _per_server(inst, effective_loads, "effective loads")
     fractions, level, support, order = _respond(
         float(inst.job_lengths[i]), inst.service_rates, eff
@@ -292,11 +292,17 @@ def empirical_poa(inst: Instance, ne_profile: ActionProfile) -> float:
     Conservative: never smaller than the true inefficiency ratio of that
     equilibrium, and always below :func:`poa_upper_bound`.
     """
+    cost, bound = _poa(inst, ne_profile)
+    return cost / bound
+
+
+def _poa(inst: Instance, ne_profile: ActionProfile) -> tuple[float, float]:
+    # ``empirical_poa``'s equilibrium check, then the social cost (with the
+    # bits of ``social_cost``, from the costs already priced) and the bound.
     check, costs = _nash(inst, ne_profile)
     if not check.is_equilibrium:
         raise ValueError(
             "profile fails the equilibrium check: a unilateral move improves "
             f"some cost by up to {check.max_improvement:.3e}"
         )
-    # The bits of ``social_cost``, from the costs already priced.
-    return _finite(float(costs.sum()), "social cost") / opt_lower_bound(inst)
+    return _finite(float(costs.sum()), "social cost"), opt_lower_bound(inst)

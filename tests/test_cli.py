@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from lbgame import model, static
 from lbgame.cli import main
 
 
@@ -253,6 +254,20 @@ class TestPoaCommand:
         )
         assert float(values["empirical_poa"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_prices_the_equilibrium_once(self, capsys, monkeypatch):
+        # The social cost, the bound and their ratio come from one pricing.
+        calls, priced = [], model.player_costs
+
+        def counted(*args):
+            calls.append(args)
+            return priced(*args)
+
+        for module in (model, static):
+            monkeypatch.setattr(module, "player_costs", counted)
+        code, out, _ = run_cli(capsys, "poa", "--setting", "3", "--seed", "1")
+        assert code == 0 and "empirical_poa=" in out
+        assert len(calls) == 1
+
 
 class TestSettingsCommand:
     def test_list_prints_all_seven(self, capsys):
@@ -320,6 +335,23 @@ class TestErrorSurface:
             (("dynamic", "--seed", "-3"), {}, 2, "--seed"),
             (("dynamic", "--seed", "x"), {}, 2, "--seed"),
             (("settings", "run", "1", "--seed", "-3"), None, 2, "--seed"),
+            (("static",), {"run": {"mode": "bogus"}}, 1, "run.mode"),
+            (("dynamic",), {"run": {"mode": "bogus"}}, 1, "run.mode"),
+            (("poa",), {"run": {"mode": "bogus"}}, 1, "run.mode"),
+            (("static",), {"run": {"mode": 5}}, 1, "run.mode"),
+            (("dynamic",), {"run": {"mode": 5}}, 1, "run.mode"),
+            (("poa",), {"run": {"mode": 5}}, 1, "run.mode"),
+            (("dynamic",), {"run": {"max_steps": "3"}}, 1, "run.max_steps"),
+            (("dynamic",), {"run": {"max_steps": 0}}, 1, "run.max_steps"),
+            (("static",), {"instance": {"mu": [True], "lambda": [0.5]}}, 1, "instance.mu"),
+            # The whole config is checked, also an instance --setting overrides.
+            (
+                ("poa", "--setting", "1"),
+                {"instance": {"mu": [True], "lambda": [0.5]}},
+                1,
+                "instance.mu",
+            ),
+            (("static",), {"instance": {"mu": [10**400], "lambda": [0.5]}}, 1, "service_rates"),
         ],
     )
     def test_bad_value_is_one_line_naming_its_key(self, capsys, config_file, argv, config, code, key):

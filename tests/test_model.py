@@ -9,10 +9,13 @@ from lbgame import (
     Action,
     ActionProfile,
     DynamicRun,
+    GeneratorSpec,
     InfeasibleError,
     Instance,
     ServerLoads,
     Trace,
+    best_response,
+    builtin_setting,
     instantaneous_cost,
     normalized_loads,
     player_costs,
@@ -61,6 +64,7 @@ class TestInstance:
             ([1.0], [1.0, 1.0], [0.0]),
             ([1.0], [], [0.0]),
             ([], [1.0], [0.0]),
+            ([0.5], [10**400], None),
         ],
     )
     def test_rejects_invalid_parameters(self, lengths, rates, loads):
@@ -228,6 +232,44 @@ class TestInstantaneousCost:
         )
         got = instantaneous_cost(inst, action, ServerLoads([1.5, 2.5]), 0)
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+# Each integer the library takes from outside, by the input's name.
+_PAIR = Instance([0.5, 1.0], [1.0, 2.0])
+_DOORS = {
+    "setting id": builtin_setting,
+    "num_players": lambda v: GeneratorSpec(v, 1, (1, 2), (0.1, 0.5), (0, 1)),
+    "num_servers": lambda v: GeneratorSpec(1, v, (1, 2), (0.1, 0.5), (0, 1)),
+    "best_response": lambda v: best_response(_PAIR, v, [0.0, 0.0]),
+    "instantaneous_cost": lambda v: instantaneous_cost(
+        _PAIR, Action([1.0, 0.0]), ServerLoads([0.0, 0.0]), v
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "door, value, message",
+    [
+        *(("setting id", v, "setting id must be an integer") for v in (True, 2.9, "3", 1.0)),
+        *(
+            (size, v, f"{size} must be a positive integer")
+            for size in ("num_players", "num_servers")
+            for v in (2.5, True, 0)
+        ),
+        *(
+            (door, v, "player index must be an integer")
+            for door in ("best_response", "instantaneous_cost")
+            for v in (True, 1.0, 1.7)
+        ),
+    ],
+)
+def test_integer_doors_refuse_what_is_no_integer(door, value, message):
+    # A bool, a float or a string is refused as one line that names the
+    # input, where ``int()`` or numpy's indexing once took it or failed on
+    # it with its own error; a numpy integer is still an integer.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _DOORS[door](value)
+    _DOORS[door](np.int64(1))
 
 
 class TestPotential:
