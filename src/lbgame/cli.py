@@ -37,7 +37,7 @@ from .experiments import (
     run_experiment,
     setting_instance,
 )
-from .model import Instance
+from .model import _INTEGER_KINDS, Instance
 from .static import _poa, poa_upper_bound, run_sequential_pass
 
 
@@ -221,11 +221,15 @@ def cmd_poa(args) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    # The ``--seed`` value: a nonnegative integer, as the config's run.seed.
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
-    return int(text)
+def _integer_flag(least: int):
+    # The type of an integer flag of at least ``least``, 0 or 1: ``--seed``
+    # and ``--max-steps``, as the config's run.seed and run.max_steps.
+    def parse(text: str) -> int:
+        if text.isdecimal() and int(text) >= least:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"must be {_INTEGER_KINDS[least]} integer, not {text!r}")
+
+    return parse
 
 
 def _describe(spec) -> str:
@@ -283,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_out=True):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--setting", type=int, metavar="ID", help="builtin setting id (1-7)")
-        p.add_argument("--seed", type=_seed, metavar="U64", help="seed for all randomness")
+        p.add_argument(
+            "--seed", type=_integer_flag(0), metavar="U64", help="seed for all randomness"
+        )
         if with_out:
             p.add_argument("--out", metavar="PATH", help="output file")
 
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="round-robin|random|FILE",
         help="arrival order policy or a file with an explicit sequence",
     )
-    p_dynamic.add_argument("--max-steps", dest="max_steps", type=int, metavar="N")
+    p_dynamic.add_argument("--max-steps", dest="max_steps", type=_integer_flag(1), metavar="N")
     p_dynamic.add_argument("--format", choices=_TRACE_FORMATS, help="trace format")
     p_dynamic.set_defaults(func=cmd_dynamic)
 
@@ -312,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub_settings.add_parser("list", help="print the catalog")
     p_run = sub_settings.add_parser("run", help="run one setting and export traces")
     p_run.add_argument("id", type=int, help="setting id (1-7)")
-    p_run.add_argument("--seed", type=_seed, metavar="U64")
-    p_run.add_argument("--max-steps", dest="max_steps", type=int, metavar="N")
+    p_run.add_argument("--seed", type=_integer_flag(0), metavar="U64")
+    p_run.add_argument("--max-steps", dest="max_steps", type=_integer_flag(1), metavar="N")
     p_run.add_argument("--out", metavar="DIR", help="output directory")
     p_run.add_argument("--format", choices=_TRACE_FORMATS)
     p_settings.set_defaults(func=cmd_settings)

@@ -10,9 +10,10 @@ proportion to the service rates.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,7 +93,9 @@ class Trace(_Record):
         return len(self.costs)
 
     def __getitem__(self, t):
-        t = range(len(self))[operator.index(t)]
+        if isinstance(t, slice):
+            raise TypeError("a trace is indexed by one step, not a slice")
+        t = range(len(self))[_integer(t, "step index")]
         before, after = (ServerLoads(row) for row in self.loads[t : t + 2])
         actions = tuple(Action(row) for row in self.fractions[t])
         arrivals, costs = tuple(self.arrivals[t].tolist()), tuple(self.costs[t].tolist())
@@ -101,7 +104,8 @@ class Trace(_Record):
 
 @dataclass(frozen=True, eq=False)
 class DynamicRun:
-    """Configuration plus (once run) the trace of a stepped game.
+    """Configuration plus (once run) the trace of a stepped game. The last
+    two fields are outputs, which only running the run sets.
 
     mode            "sequential" (one arrival per step) or "simultaneous"
     order           "round-robin", "random" (driven by ``seed``), or an
@@ -123,8 +127,8 @@ class DynamicRun:
     order: str | tuple[int, ...] = ORDER_RANDOM
     max_steps: int | None = None
     seed: int = 0
-    trace: Trace | None = None
-    converged_at: int | None = None
+    trace: Trace = field(init=False)
+    converged_at: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         inst = self.inst
@@ -150,15 +154,9 @@ class DynamicRun:
                 f"horizon of {self.max_steps} steps could hold {values} trace values, "
                 f"over the limit of {_MAX_TRACE_VALUES}; pass a smaller max_steps"
             )
-        if self.trace is None:
-            empty = np.zeros((0, k))
-            trace = Trace(empty, np.zeros((0, k, m)), inst.initial_loads[None], empty)
-            object.__setattr__(self, "trace", trace)
-        elif self.trace.fractions.shape[1:] != (k, m):
-            raise ValueError(
-                "trace does not fit the run: {} arrivals on {} servers per step, expected {} on {}"
-                .format(*self.trace.fractions.shape[1:], k, m)
-            )
+        empty = np.zeros((0, k))
+        trace = Trace(empty, np.zeros((0, k, m)), inst.initial_loads[None], empty)
+        object.__setattr__(self, "trace", trace)
 
 
 def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
@@ -206,7 +204,8 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
     # every round's. Up to ``_FLOAT_SERVERS`` servers a step runs on Python
     # floats, above on arrays; both give the same bits. ``_settle`` then
     # prices all steps from the loads they observed, and one ``Trace``
-    # checks the columns without copying them.
+    # checks the columns without copying them. They go on a shallow copy of
+    # ``run``, so its configuration is not checked, nor its trace built, again.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
     inst = _drain_instance(run.inst, mode)
@@ -230,7 +229,9 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
     if mode == MODE_SIMULTANEOUS:
         arrivals = np.tile(np.arange(run.inst.num_players), arrivals.shape)
     fractions, costs = _settle(run.inst, loads[:-1], arrivals)
-    return replace(run, trace=Trace(arrivals, fractions, loads, costs), converged_at=candidate)
+    done = copy.copy(run)
+    vars(done).update(trace=Trace(arrivals, fractions, loads, costs), converged_at=candidate)
+    return done
 
 
 def _array_step(length: float, rates: np.ndarray, loads: np.ndarray) -> np.ndarray:

@@ -287,18 +287,19 @@ def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
     return [sep.join(map(repr, row)) for row in values.tolist()]
 
 
-def _totals(loads: np.ndarray) -> list[float]:
-    # Each row's total load, bit for bit as ``row.sum()``: numpy sums the
-    # rows of a C-ordered block pairwise, like one row, but the rows of a
-    # column-major block in another order.
-    return np.ascontiguousarray(loads).sum(axis=1).tolist()
+def _filed(runs: dict[str, DynamicRun]) -> dict[str, DynamicRun]:
+    # The runs a writer takes: a key labels the rows its run's mode shapes.
+    for mode, run in runs.items():
+        if mode != run.mode:
+            raise ValueError(f"a {run.mode} run is filed under {mode!r}")
+    return runs
 
 
 def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
     """One CSV row per step: loads after the drain, the step's cost, and a
     converged flag. The arriving player is -1 for simultaneous steps.
-    Written a block of steps at a time."""
-    path = Path(path)
+    Written a block of steps at a time. Each run is filed under its mode."""
+    path, runs = Path(path), _filed(runs)
     num_servers = next(iter(runs.values())).inst.num_servers
     header = (
         ["step", "mode", "arriving_player"]
@@ -310,6 +311,7 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
         for mode, run in runs.items():
             trace, converged = run.trace, run.converged_at
             for start, stop in _blocks(*trace.fractions.shape):
+                # C-ordered rows, so numpy sums each like ``row.sum()``.
                 after = trace.loads[start + 1 : stop + 1]
                 if mode == MODE_SEQUENTIAL:
                     arriving = trace.arrivals[start:stop, 0].tolist()
@@ -318,7 +320,8 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
                 # Python's ``sum`` of each step's costs, as numpy's may round
                 # differently.
                 costs = map(sum, trace.costs[start:stop].tolist())
-                cells = zip(range(start, stop), arriving, _rows(after), _totals(after), costs)
+                totals = after.sum(axis=1).tolist()
+                cells = zip(range(start, stop), arriving, _rows(after), totals, costs)
                 out.writelines(
                     f"{t},{mode},{player},{loads},{total!r},{cost!r},"
                     f"{int(converged is not None and t >= converged)}\n"
@@ -334,8 +337,8 @@ def _json_float(x: float) -> str:
 
 def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
     """One JSON object per step, mirroring the step records losslessly.
-    Written a block of steps at a time."""
-    path = Path(path)
+    Written a block of steps at a time. Each run is filed under its mode."""
+    path, runs = Path(path), _filed(runs)
     written = False
     with path.open("w") as out:
         for mode, run in runs.items():
@@ -353,7 +356,7 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
                     loads,
                     loads[1:],
                     _rows(trace.costs[start:stop], ", "),
-                    map(_json_float, _totals(trace.loads[start + 1 : stop + 1])),
+                    map(_json_float, trace.loads[start + 1 : stop + 1].sum(1).tolist()),
                 )
                 out.writelines(
                     f'{{"mode": {name}, "t": {t}, "arrivals": [{arrivals}], '

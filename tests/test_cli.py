@@ -150,6 +150,12 @@ class TestDynamicCommand:
         assert code == 0
         assert "converged_at=49" in out
 
+    def test_explicit_order_in_config(self, capsys, config_file):
+        path = config_file({"run": {"order": [0, 1, 2, 3]}})
+        code, out, _ = run_cli(capsys, "dynamic", "--setting", "5", "--config", path)
+        assert code == 0
+        assert "converged_at=49" in out
+
     @pytest.mark.parametrize("text", ["0 1\n2 3\n", "3"], ids=["whitespace", "one-index"])
     def test_whitespace_order_file(self, capsys, tmp_path, text):
         order_path = tmp_path / "order.txt"
@@ -352,6 +358,13 @@ class TestErrorSurface:
                 "instance.mu",
             ),
             (("static",), {"instance": {"mu": [10**400], "lambda": [0.5]}}, 1, "service_rates"),
+            (("dynamic", "--setting", "5", "--max-steps", "0"), None, 2, "--max-steps"),
+            (("dynamic", "--setting", "5", "--max-steps", "-3"), None, 2, "--max-steps"),
+            (("settings", "run", "5", "--max-steps", "0"), None, 2, "--max-steps"),
+            (("settings", "run", "5", "--max-steps", "x"), None, 2, "--max-steps"),
+            (("static",), {"runs": {}}, 1, "unknown config key: runs"),
+            (("static",), {"run": 5}, 1, "config key run must be an object"),
+            (("static",), {"instance": {"mu": [1.0]}}, 1, "needs both mu and lambda"),
         ],
     )
     def test_bad_value_is_one_line_naming_its_key(self, capsys, config_file, argv, config, code, key):
@@ -372,6 +385,11 @@ class TestErrorSurface:
         code, out, err = run_cli(capsys, "dynamic", "--setting", "5", "--order", str(path))
         assert (code, out) == (1, "")
         assert err == f"lbgame: error: order file {path} must hold a non-empty list of indices\n"
+
+    def test_config_not_an_object(self, capsys, config_file):
+        code, out, err = run_cli(capsys, "static", "--config", config_file([{"run": {}}]))
+        assert (code, out) == (1, "")
+        assert err == "lbgame: error: config must be a JSON object\n"
 
     def test_config_not_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -119,6 +119,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             DynamicRun(Instance([1.0], [2.0]), "sequential", **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mode", "batch", "unknown mode: 'batch'"),
+            ("order", (), "explicit order sequence must not be empty"),
+        ],
+    )
+    def test_mode_and_order_refused_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DynamicRun(Instance([1.0], [2.0]), **{"mode": "sequential", field: value})
+
     def test_integer_settings_accept_numpy_integers(self):
         run = DynamicRun(
             Instance([1.0], [2.0]), "sequential", order=(np.int32(0),),
@@ -683,6 +694,11 @@ class TestColumnarTrace:
             assert trace.fractions.shape == (0, k, inst.num_servers)
             assert np.array_equal(trace.loads, [inst.initial_loads])
 
+    def test_negative_numpy_index_is_the_last_step(self):
+        trace = run_simultaneous(DynamicRun(builtin_setting(7).instance, "simultaneous")).trace
+        assert trace[np.int64(-1)] == trace[-1]
+        assert trace[np.int64(-1)].t == len(trace) - 1
+
     def test_views_match_the_columns(self):
         inst = builtin_setting(7).instance
         trace = run_simultaneous(DynamicRun(inst, "simultaneous")).trace
@@ -721,15 +737,19 @@ class TestColumnarTrace:
             assert np.shares_memory(getattr(trace, name), given)
             assert not given.flags.writeable
 
-    @pytest.mark.parametrize("mode,k,m", [("sequential", 1, 3), ("simultaneous", 2, 2)])
-    def test_run_refuses_a_trace_that_does_not_fit(self, mode, k, m):
-        # one player on two servers: a sequential or simultaneous step holds
-        # one arrival on two servers
-        inst = Instance([1.0], [2.0, 2.0], [1.0, 1.0])
-        fractions = np.full((1, k, m), 1.0 / m)
-        trace = Trace(np.zeros((1, k), int), fractions, np.ones((2, m)), np.ones((1, k)))
-        with pytest.raises(ValueError, match="trace does not fit the run"):
-            DynamicRun(inst, mode, trace=trace)
+    @pytest.mark.parametrize("output", ["trace", "converged_at"])
+    def test_outputs_are_set_only_by_running(self, output):
+        # A run's trace and converged_at come from playing it, never from
+        # its caller; un-run, it holds the start state and no drain step.
+        inst = builtin_setting(5).instance
+        unrun = DynamicRun(inst, "sequential")
+        with pytest.raises(TypeError, match=output):
+            DynamicRun(inst, "sequential", **{output: getattr(unrun, output)})
+        assert unrun.converged_at is None
+        for mode, play in (("sequential", run_sequential), ("simultaneous", run_simultaneous)):
+            done = play(DynamicRun(inst, mode, order="round-robin"))
+            assert len(done.trace) == done.converged_at + 2
+            assert np.array_equal(done.trace.loads[0], inst.initial_loads)
 
     def test_trace_checks_the_whole_run(self):
         good = dict(

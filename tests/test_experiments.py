@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from lbgame import (
     DynamicRun,
     GeneratorSpec,
     Instance,
-    ServerLoads,
+    SettingSpec,
     Trace,
     builtin_setting,
     builtin_settings,
@@ -27,7 +26,6 @@ from lbgame import (
 from lbgame import experiments
 from lbgame.model import _BLOCK
 from lbgame.experiments import ExperimentReport
-from lbgame.model import Action
 
 
 def _reference_steps(trace):
@@ -126,6 +124,22 @@ class TestCatalog:
     def test_unknown_setting(self):
         with pytest.raises(ValueError, match="unknown setting"):
             builtin_setting(9)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(), "exactly one of instance or generator"),
+            (
+                dict(instance=builtin_setting(5).instance, generator=builtin_setting(3).generator),
+                "exactly one of instance or generator",
+            ),
+            (dict(instance=builtin_setting(5).instance, modes=("static", "batch")), "unknown mode"),
+        ],
+        ids=["neither", "both", "unknown-mode"],
+    )
+    def test_setting_spec_refuses_a_malformed_entry(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SettingSpec(**{"id": "custom", "modes": ("static",), **fields})
 
 
 # sha256 of generate_instance's draws over seeds 0-7, per catalog recipe and
@@ -251,19 +265,12 @@ class TestTraceExport:
         assert lines[1].startswith("0,sequential,0,")
 
     def test_scripted_two_server_step(self, tmp_path):
-        # fixed even split of the length-2 job onto loads (2, 4): the drain
-        # leaves (1.5, 2.5) and the arrival pays about 3.4667
+        # the length-2 job's best response to loads (2, 4) on rates
+        # (1.5, 2.5) is the even split: water level 2, one unit per server.
+        # The drain leaves (1.5, 2.5) and the arrival pays about 3.4667
         inst = Instance([1.0, 2.0], [1.5, 2.5], [2.0, 4.0])
-        action = Action([0.5, 0.5])
-        from lbgame import instantaneous_cost, state_transition
-
-        before = ServerLoads([2.0, 4.0])
-        cost = instantaneous_cost(inst, action, before, 1)
-        after = state_transition(inst, before, 2.0 * action.fractions)
-        trace = Trace([[1]], [[action.fractions]], [before.loads, after.loads], [[cost]])
-        scripted = DynamicRun(
-            inst, "sequential", order=(1,), max_steps=1, trace=trace
-        )
+        scripted = run_sequential(DynamicRun(inst, "sequential", order=(1,), max_steps=1))
+        assert scripted.trace.fractions[0, 0] == pytest.approx([0.5, 0.5], abs=1e-15)
         path = write_trace_csv({"sequential": scripted}, tmp_path / "scripted.csv")
         row = path.read_text().splitlines()[1].split(",")
         assert row[:3] == ["0", "sequential", "1"]
@@ -286,6 +293,16 @@ class TestTraceExport:
             assert isinstance(loaded[mode], Trace)
             assert len(loaded[mode]) == len(run.trace)
             assert np.array_equal(loaded[mode].loads, run.trace.loads)
+
+    def test_jsonl_blank_lines_are_skipped(self, tmp_path):
+        report = run_experiment(builtin_setting(5), seed=9)
+        lines = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n\n".join(lines) + "\n  \n")
+        loaded = load_trace_jsonl(spaced)
+        assert set(loaded) == set(report.runs)
+        for mode, run in report.runs.items():
+            assert loaded[mode] == run.trace
 
     def test_jsonl_steps_must_chain(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9)
@@ -321,6 +338,27 @@ class TestTraceExport:
         with pytest.raises(ValueError, match="format"):
             export_trace(report, tmp_path / "trace.xml", "xml")
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            write_trace_csv,
+            write_trace_jsonl,
+            lambda runs, path: export_trace(
+                ExperimentReport("custom", 0, builtin_setting(5).instance, **runs), path
+            ),
+        ],
+        ids=["csv", "jsonl", "export_trace"],
+    )
+    def test_run_filed_under_another_mode_is_refused(self, write, tmp_path):
+        # Rows are labelled by the key and shaped by the run's mode: a
+        # sequential run under "simultaneous" would be written as a
+        # simultaneous trace with one arrival per step.
+        report = run_experiment(builtin_setting(5), seed=1)
+        path = tmp_path / "misfiled.txt"
+        with pytest.raises(ValueError, match="^a sequential run is filed under 'simultaneous'$"):
+            write({"simultaneous": report.sequential}, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_without_runs_rejected(self, tmp_path):
         report = ExperimentReport(
             setting_id="custom", seed=0, instance=builtin_setting(5).instance
@@ -343,16 +381,6 @@ def _one_step_per_block():
     return {"simultaneous": run_simultaneous(DynamicRun(inst, "simultaneous", max_steps=3))}
 
 
-def _column_major():
-    # Fortran-ordered columns: each row's total must still sum like row.sum().
-    rng = np.random.default_rng(4)
-    inst = Instance([0.5, 1.0], rng.uniform(1.0, 2.0, 16), rng.uniform(1.0, 9.0, 16) ** 4)
-    done = run_sequential(DynamicRun(inst, "sequential", max_steps=50))
-    trace = Trace(*(np.asfortranarray(getattr(done.trace, name))
-                    for name in ("arrivals", "fractions", "loads", "costs")))
-    return {"sequential": replace(done, trace=trace)}
-
-
 def _with_unrun():
     report = run_experiment(builtin_setting(1), seed=0)
     unrun = DynamicRun(report.instance, "simultaneous")
@@ -370,7 +398,6 @@ ODD_TRACES = {
     # 4,101 steps: two full blocks of 2,048 and a partial one.
     "partial-block": lambda: {"sequential": _never_drains(2 * (_BLOCK // 8) + 5)},
     "one-step-per-block": _one_step_per_block,
-    "column-major": _column_major,
     "unrun-and-run": _with_unrun,
     "no-steps": lambda: {"sequential": DynamicRun(builtin_setting(1).instance)},
     "overflowed-total": _overflowed_total,

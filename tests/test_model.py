@@ -65,6 +65,7 @@ class TestInstance:
             ([1.0], [], [0.0]),
             ([], [1.0], [0.0]),
             ([0.5], [10**400], None),
+            ([[1.0]], [1.0], None),
         ],
     )
     def test_rejects_invalid_parameters(self, lengths, rates, loads):
@@ -244,6 +245,9 @@ _DOORS = {
     "instantaneous_cost": lambda v: instantaneous_cost(
         _PAIR, Action([1.0, 0.0]), ServerLoads([0.0, 0.0]), v
     ),
+    "step index": lambda v: Trace(
+        [[0], [1]], [[[0.5, 0.5]], [[1.0, 0.0]]], [[1.0, 2.0], [0.5, 1.0], [0.0, 0.0]], [[1.0], [0.5]]
+    )[v],
 }
 
 
@@ -261,6 +265,7 @@ _DOORS = {
             for door in ("best_response", "instantaneous_cost")
             for v in (True, 1.0, 1.7)
         ),
+        *(("step index", v, "step index must be an integer") for v in (True, False, 1.0)),
     ],
 )
 def test_integer_doors_refuse_what_is_no_integer(door, value, message):
@@ -382,6 +387,11 @@ class TestStateTransition:
         inst = Instance([1.0], [1.0])
         with pytest.raises(ValueError):
             state_transition(inst, ServerLoads([1.0]), [-0.5])
+
+    def test_rejects_loads_of_another_length(self):
+        inst = Instance([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^loads length does not match the number of servers$"):
+            state_transition(inst, [0.0, 0.0, 0.0], [0.0, 0.0])
 
     def test_nonnegativity_and_monotone_drain(self):
         rng = np.random.default_rng(5)
