@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .dynamic import (
     run_sequential,
     run_simultaneous,
 )
-from .model import ActionProfile, Instance, _blocks, _integer
+from .model import ActionProfile, Instance, _block_steps, _blocks, _integer
 from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"
@@ -203,7 +204,9 @@ class StaticPassResult:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Everything one experiment produced, keyed by mode."""
+    """Everything one experiment produced, keyed by mode. Each run must be
+    of its field's mode and played on the report's instance and seed, the
+    ones its manifest names."""
 
     setting_id: int | str
     seed: int
@@ -211,6 +214,18 @@ class ExperimentReport:
     static: StaticPassResult | None = None
     sequential: DynamicRun | None = None
     simultaneous: DynamicRun | None = None
+
+    def __post_init__(self):
+        for mode, run in _filed(self.runs).items():
+            if run.inst != self.instance:
+                raise ValueError(
+                    f"the {mode} run was played on another instance than the report's"
+                )
+            if run.seed != self.seed:
+                raise ValueError(
+                    f"the {mode} run was played at seed {run.seed}, "
+                    f"not the report's seed {self.seed}"
+                )
 
     @property
     def runs(self) -> dict[str, DynamicRun]:
@@ -283,15 +298,43 @@ def convergence_grid(
 
 def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
     # Each row of a 2-D block as its values joined by ``sep``. ``repr`` of a
-    # Python float is the shortest string that parses back exactly.
-    return [sep.join(map(repr, row)) for row in values.tolist()]
+    # Python float is the shortest string that parses back exactly. One
+    # ``map`` formats the whole block and ``zip`` deals the texts out in
+    # rows, so no Python code runs per row.
+    texts = map(repr, values.ravel().tolist())
+    return list(map(sep.join, zip(*[texts] * values.shape[1])))
+
+
+def _loads_text(trace: Trace) -> tuple[str, tuple[tuple[int, int, str, str], ...]]:
+    # The text of a trace's loads: its start row, and per ``_blocks`` block
+    # ``(start, stop, rows, totals)``, the rows after each drain (values
+    # joined by "," and rows by newlines) and the ``repr`` of each row's sum,
+    # one a line. Built on a trace's first export and kept on it, so a second
+    # writer formats none of it again; the columns are read-only, so the
+    # text never goes stale. One string per block keeps the per-object
+    # overhead of Python strings off the memory it holds.
+    memo = vars(trace).get("_loads_text")
+    if memo is None:
+        blocks = []
+        for start, stop in _blocks(*trace.fractions.shape):
+            after = trace.loads[start + 1 : stop + 1]
+            # C-ordered rows, so numpy sums each like ``row.sum()``.
+            totals = "\n".join(map(repr, after.sum(axis=1).tolist()))
+            blocks.append((start, stop, "\n".join(_rows(after)), totals))
+        memo = (_rows(trace.loads[:1])[0], tuple(blocks))
+        object.__setattr__(trace, "_loads_text", memo)
+    return memo
 
 
 def _filed(runs: dict[str, DynamicRun]) -> dict[str, DynamicRun]:
-    # The runs a writer takes: a key labels the rows its run's mode shapes.
+    # The runs a writer takes: a key labels the rows its run's mode shapes,
+    # and every run has one server count, the width of every row.
     for mode, run in runs.items():
         if mode != run.mode:
             raise ValueError(f"a {run.mode} run is filed under {mode!r}")
+    widths = sorted({run.inst.num_servers for run in runs.values()})
+    if len(widths) > 1:
+        raise ValueError(f"runs on {widths[0]} and {widths[1]} servers cannot share one trace")
     return runs
 
 
@@ -310,9 +353,7 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
         out.write(",".join(header) + "\n")
         for mode, run in runs.items():
             trace, converged = run.trace, run.converged_at
-            for start, stop in _blocks(*trace.fractions.shape):
-                # C-ordered rows, so numpy sums each like ``row.sum()``.
-                after = trace.loads[start + 1 : stop + 1]
+            for start, stop, rows, totals in _loads_text(trace)[1]:
                 if mode == MODE_SEQUENTIAL:
                     arriving = trace.arrivals[start:stop, 0].tolist()
                 else:
@@ -320,19 +361,15 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
                 # Python's ``sum`` of each step's costs, as numpy's may round
                 # differently.
                 costs = map(sum, trace.costs[start:stop].tolist())
-                totals = after.sum(axis=1).tolist()
-                cells = zip(range(start, stop), arriving, _rows(after), totals, costs)
+                cells = zip(
+                    range(start, stop), arriving, rows.split("\n"), totals.split("\n"), costs
+                )
                 out.writelines(
-                    f"{t},{mode},{player},{loads},{total!r},{cost!r},"
+                    f"{t},{mode},{player},{loads},{total},{cost!r},"
                     f"{int(converged is not None and t >= converged)}\n"
                     for t, player, loads, total, cost in cells
                 )
     return path
-
-
-def _json_float(x: float) -> str:
-    # ``json.dumps``'s text for a float: an overflowed total reads Infinity.
-    return "Infinity" if x == np.inf else repr(x)
 
 
 def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
@@ -344,24 +381,32 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
         for mode, run in runs.items():
             trace, name = run.trace, json.dumps(mode)
             k, m = trace.fractions.shape[1:]
-            for start, stop in _blocks(*trace.fractions.shape):
+            first, blocks = _loads_text(trace)
+            last = first.replace(",", ", ")
+            for start, stop, rows, totals in blocks:
                 # Step t's loads_after is step t+1's loads_before: one text each.
-                loads = [f"[{row}]" for row in _rows(trace.loads[start : stop + 1], ", ")]
-                rows = [f"[{row}]" for row in _rows(trace.fractions[start:stop].reshape(-1, m), ", ")]
-                actions = (", ".join(rows[i : i + k]) for i in range(0, len(rows), k))
+                afters = rows.replace(",", ", ").split("\n")
+                befores = chain((last,), afters)
+                last = afters[-1]
+                # Each step's k rows of fractions, as ``json.dumps`` spaces them.
+                players = iter(_rows(trace.fractions[start:stop].reshape(-1, m), ", "))
+                actions = map("], [".join, zip(*[players] * k))
                 cells = zip(
                     range(start, stop),
                     _rows(trace.arrivals[start:stop], ", "),
                     actions,
-                    loads,
-                    loads[1:],
+                    befores,
+                    afters,
                     _rows(trace.costs[start:stop], ", "),
-                    map(_json_float, trace.loads[start + 1 : stop + 1].sum(1).tolist()),
+                    # ``json.dumps``'s text for a float: an overflowed total
+                    # reads Infinity.
+                    totals.replace("inf", "Infinity").split("\n"),
                 )
                 out.writelines(
                     f'{{"mode": {name}, "t": {t}, "arrivals": [{arrivals}], '
-                    f'"actions": [{action}], "loads_before": {before}, "loads_after": {after}, '
-                    f'"instantaneous_costs": [{costs}], "total_load": {total}}}\n'
+                    f'"actions": [[{action}]], "loads_before": [{before}], '
+                    f'"loads_after": [{after}], "instantaneous_costs": [{costs}], '
+                    f'"total_load": {total}}}\n'
                     for t, arrivals, action, before, after, costs, total in cells
                 )
                 written = True
@@ -371,21 +416,60 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
     return path
 
 
+# The keys a JSON-lines step is read by: its step number, where it starts,
+# and the ``Trace`` columns it adds to, in order.
+_KEYS = ("t", "loads_before", "arrivals", "actions", "loads_after", "instantaneous_costs")
+
+
 def load_trace_jsonl(path) -> dict[str, Trace]:
     """Read back a JSON-lines trace as one :class:`Trace` per mode. Raises
     ``ValueError`` where a line's ``loads_before`` is not the previous
-    line's ``loads_after``: the steps of a mode must chain."""
+    line's ``loads_after``: the steps of a mode must chain.
+
+    Reads up to a block of steps of one mode at a time (``_blocks``
+    sizes), checks the block's chain at once, and keeps its columns as
+    arrays."""
     grouped: dict[str, tuple[list, ...]] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        columns = grouped.setdefault(obj["mode"], ([], [], [obj["loads_before"]], []))
-        if obj["loads_before"] != columns[2][-1]:
-            raise ValueError(f"{obj['mode']} step {obj['t']} does not start where the last ended")
-        for col, key in zip(columns, ("arrivals", "actions", "loads_after", "instantaneous_costs")):
-            col.append(obj[key])
-    return {mode: Trace(*columns) for mode, columns in grouped.items()}
+    mode, block, size = None, (), 0
+    with Path(path).open() as lines:
+        for line in lines:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if not block or obj["mode"] != mode or len(block[0]) == size:
+                if block:
+                    _file_block(grouped, mode, *block)
+                mode, block = obj["mode"], tuple([] for _ in _KEYS)
+                size = _block_steps(len(obj["actions"]), len(obj["loads_before"]))
+            for column, key in zip(block, _KEYS):
+                column.append(obj[key])
+    if block:
+        _file_block(grouped, mode, *block)
+    del block  # its values are in the columns now, and its lists can go
+    return {
+        mode: Trace(*(np.concatenate(blocks) for blocks in columns))
+        for mode, columns in grouped.items()
+    }
+
+
+def _file_block(grouped, mode, steps, befores, arrivals, actions, afters, costs) -> None:
+    # Appends a block of ``mode``'s steps, read as lists by ``_KEYS``, to the
+    # mode's columns in ``grouped`` as arrays, once the block is seen to
+    # chain on to the mode's last ``loads_after``; a mode's first line
+    # starts its chain. One list comparison checks the whole block, by the
+    # equality the rule has always used.
+    columns = grouped.get(mode)
+    if columns is None:
+        columns = grouped[mode] = ([], [], [np.array(befores[:1], float)], [])
+        expected = befores[:1] + afters[:-1]
+    else:
+        expected = [columns[2][-1][-1].tolist()] + afters[:-1]
+    if befores != expected:
+        t = next(t for t, got, want in zip(steps, befores, expected) if got != want)
+        raise ValueError(f"{mode} step {t} does not start where the last ended")
+    kinds = (int, float, float, float)
+    for column, values, kind in zip(columns, (arrivals, actions, afters, costs), kinds):
+        column.append(np.array(values, kind))
 
 
 def _manifest_payload(report: ExperimentReport) -> dict:

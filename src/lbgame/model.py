@@ -14,7 +14,7 @@ share across threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,7 +67,8 @@ def _rows_on_simplex(mat: np.ndarray, name: str) -> np.ndarray:
 class _Record:
     # Base of the frozen array records: their fields are read-only arrays,
     # set by ``_set``, and two records of one type are equal when every
-    # field is array-equal. Records of different types never are.
+    # dataclass field is array-equal, whatever else an instance holds.
+    # Records of different types never are.
 
     def _set(self, **arrays: np.ndarray) -> None:
         for name, arr in arrays.items():
@@ -77,7 +78,8 @@ class _Record:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+        names = [f.name for f in fields(self)]
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +163,15 @@ class ActionProfile(_Record):
         self._set(matrix=_rows_on_simplex(_array(self.matrix, "profile", 2), "profile"))
 
     @classmethod
+    def _taking(cls, matrix: np.ndarray) -> "ActionProfile":
+        # A profile on ``matrix`` itself, a float64 (n, m) array its caller
+        # built and hands over: checked finite, nonnegative and on the
+        # simplex like any profile, and marked read-only, but not copied.
+        profile = object.__new__(cls)
+        profile._set(matrix=_rows_on_simplex(_queues(matrix, "profile"), "profile"))
+        return profile
+
+    @classmethod
     def uniform(cls, num_players: int, num_servers: int) -> "ActionProfile":
         """The all-1/m starting profile used by the update dynamics."""
         return cls(np.full((num_players, num_servers), 1.0 / num_servers))
@@ -180,11 +191,17 @@ class ServerLoads(_Record):
         return float(self.loads.sum())
 
 
+def _block_steps(k: int, m: int) -> int:
+    # The one block rule: a block of steps of k arrivals on m servers holds
+    # about ``_BLOCK`` fraction values, and at least one step. It bounds
+    # pricing temporaries and the trace writers' and reader's memory.
+    return max(1, _BLOCK // (k * m))
+
+
 def _blocks(steps: int, k: int, m: int):
-    # The one block rule: ``steps`` steps of k arrivals on m servers as
-    # ``(start, stop)`` ranges of about ``_BLOCK`` fraction values, at least
-    # one step. It bounds pricing temporaries and the trace writers' memory.
-    rows = max(1, _BLOCK // (k * m))
+    # ``steps`` steps of k arrivals on m servers as ``(start, stop)`` ranges
+    # of ``_block_steps`` steps, the last one partial.
+    rows = _block_steps(k, m)
     for start in range(0, steps, rows):
         yield start, min(start + rows, steps)
 
@@ -254,9 +271,16 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     _check_profile(inst, profile)
     rates = inst.service_rates
     work = inst.job_lengths[:, None] * profile.matrix
-    ahead = inst.initial_loads + work.sum(axis=0) - work
-    ahead /= rates
-    return _finite(_wait(work, ahead, rates), "player cost")
+    queued = inst.initial_loads + work.sum(axis=0)
+    costs = np.empty(inst.num_players)
+    # Priced in ``_blocks`` of players, so the temporaries beside the work
+    # matrix stay small; each row's bits do not depend on the block.
+    for start, stop in _blocks(inst.num_players, 1, inst.num_servers):
+        mine = work[start:stop]
+        ahead = queued - mine
+        ahead /= rates
+        costs[start:stop] = _wait(mine, ahead, rates)
+    return _finite(costs, "player cost")
 
 
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:

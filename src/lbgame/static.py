@@ -192,7 +192,7 @@ def run_sequential_pass(
         potentials += np.sum(block * block / doubled, axis=1).tolist()
     for _ in updates:  # runs the drift guard
         pass
-    return ActionProfile(matrix), _finite(potentials, "potential")
+    return ActionProfile._taking(matrix), _finite(potentials, "potential")
 
 
 def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):

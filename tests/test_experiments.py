@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +314,22 @@ class TestTraceExport:
         with pytest.raises(ValueError, match="sequential step 4 does not start where the last ended"):
             load_trace_jsonl(broken)
 
+    @pytest.mark.parametrize("t", [1, 2047, 2048, 2049, 4096, 4100])
+    @pytest.mark.parametrize("change", ["value", "ragged"])
+    def test_jsonl_chain_is_checked_across_blocks(self, t, change, tmp_path):
+        # Blocks of 2,048 steps: steps 2,048 and 4,096 start one, and the
+        # break is reported at the step it is on, as line by line.
+        runs = ODD_TRACES["partial-block"]()
+        lines = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        step = json.loads(lines[t])
+        step["loads_before"] = step["loads_before"][:-1] + ([] if change == "ragged" else [1.5])
+        lines[t] = json.dumps(step)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        message = f"^sequential step {t} does not start where the last ended$"
+        with pytest.raises(ValueError, match=message):
+            load_trace_jsonl(broken)
+
     def test_csv_values_round_trip_exactly(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9)
         path = export_trace(report, tmp_path / "trace.csv")
@@ -359,6 +377,31 @@ class TestTraceExport:
             write({"simultaneous": report.sequential}, path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("write", [write_trace_csv, write_trace_jsonl], ids=["csv", "jsonl"])
+    def test_runs_on_different_server_counts_are_refused(self, write, tmp_path):
+        # One header, or one reader's Trace per mode, fits one row width.
+        runs = {
+            "sequential": run_experiment(builtin_setting(7), seed=0).sequential,
+            "simultaneous": run_experiment(builtin_setting(5), seed=0).simultaneous,
+        }
+        with pytest.raises(ValueError, match="^runs on 2 and 4 servers cannot share one trace$"):
+            write(runs, tmp_path / "mixed.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_refuses_a_run_on_another_instance(self):
+        other = run_experiment(builtin_setting(7), seed=0).sequential
+        with pytest.raises(
+            ValueError, match="^the sequential run was played on another instance than the report's$"
+        ):
+            ExperimentReport(5, 0, builtin_setting(5).instance, sequential=other)
+
+    def test_report_refuses_a_run_at_another_seed(self):
+        run = run_experiment(builtin_setting(5), seed=0).simultaneous
+        with pytest.raises(
+            ValueError, match="^the simultaneous run was played at seed 0, not the report's seed 99$"
+        ):
+            ExperimentReport(5, 99, builtin_setting(5).instance, simultaneous=run)
+
     def test_report_without_runs_rejected(self, tmp_path):
         report = ExperimentReport(
             setting_id="custom", seed=0, instance=builtin_setting(5).instance
@@ -404,9 +447,14 @@ ODD_TRACES = {
 }
 
 
+WRITERS = {"csv": write_trace_csv, "jsonl": write_trace_jsonl}
+
+
 class TestExportOracle:
     """The block-wise writers against the per-step reference writers above:
-    the same bytes, and every JSON line the reference step dict."""
+    the same bytes, and every JSON line the reference step dict. Each case
+    runs afresh and writes both formats, in either order: the second writer
+    reads the loads text the first one built."""
 
     @staticmethod
     def same_text(got, want):
@@ -417,10 +465,11 @@ class TestExportOracle:
             assert line == expected, f"line {number} differs"
         assert len(got) == len(want)
 
-    def check(self, runs, tmp_path):
+    def check(self, runs, tmp_path, order=("csv", "jsonl")):
         with np.errstate(over="ignore"):
-            csv = write_trace_csv(runs, tmp_path / "trace.csv").read_text()
-            jsonl = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text()
+            text = {fmt: WRITERS[fmt](runs, tmp_path / f"trace.{fmt}") for fmt in order}
+            text = {fmt: path.read_text() for fmt, path in text.items()}
+            csv, jsonl = text["csv"], text["jsonl"]
             self.same_text(csv, reference_csv(runs))
             self.same_text(jsonl, reference_jsonl(runs))
             records = reference_records(runs)
@@ -437,6 +486,118 @@ class TestExportOracle:
     @pytest.mark.parametrize("case", list(ODD_TRACES))
     def test_odd_traces_match_the_reference(self, case, tmp_path):
         self.check(ODD_TRACES[case](), tmp_path)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sid", range(1, 8))
+    def test_catalog_exports_match_the_reference_jsonl_first(self, sid, seed, tmp_path):
+        runs = run_experiment(builtin_setting(sid), seed=seed).runs
+        self.check(runs, tmp_path, ("jsonl", "csv"))
+
+    @pytest.mark.parametrize("case", list(ODD_TRACES))
+    def test_odd_traces_match_the_reference_jsonl_first(self, case, tmp_path):
+        self.check(ODD_TRACES[case](), tmp_path, ("jsonl", "csv"))
+
+
+def _counted_reprs(monkeypatch):
+    # Counts the values the experiments module formats with ``repr``: it
+    # finds the name at call time, so a module global shadows the builtin
+    # there alone. The CSV formats its cost sums in its line template, which
+    # the count does not see.
+    count = [0]
+
+    def counted(value):
+        count[0] += 1
+        return builtins.repr(value)
+
+    monkeypatch.setattr(experiments, "repr", counted, raising=False)
+    return count
+
+
+class TestLoadsText:
+    """Each trace's loads rows and per-step totals are formatted once, on its
+    first export, and both writers read that text."""
+
+    @pytest.mark.parametrize(
+        "order", [("csv", "jsonl"), ("jsonl", "csv")], ids=["csv-first", "jsonl-first"]
+    )
+    def test_second_writer_formats_no_loads_row_or_total(self, order, monkeypatch, tmp_path):
+        runs = run_experiment(builtin_setting(1), seed=0).runs
+        traces = [run.trace for run in runs.values()]
+        loads = sum(trace.loads.size + len(trace) for trace in traces)
+        # What a writer formats of its own: JSON-lines writes every step's
+        # arrivals, fractions and costs.
+        own = {
+            "csv": 0,
+            "jsonl": sum(t.arrivals.size + t.fractions.size + t.costs.size for t in traces),
+        }
+        count = _counted_reprs(monkeypatch)
+        first, second = order
+        WRITERS[first](runs, tmp_path / f"trace.{first}")
+        assert count[0] == loads + own[first]
+        count[0] = 0
+        WRITERS[second](runs, tmp_path / f"trace.{second}")
+        assert count[0] == own[second]
+
+    def test_alternating_traces_keep_their_own_text(self, tmp_path):
+        # Two runs of one shape on one instance, exported in turn.
+        inst = builtin_setting(1).instance
+        runs = [
+            {"sequential": run_sequential(DynamicRun(inst, "sequential", seed=seed))}
+            for seed in (1, 2)
+        ]
+        assert runs[0]["sequential"].trace != runs[1]["sequential"].trace
+        reference = {"csv": reference_csv, "jsonl": reference_jsonl}
+        for fmt in ("csv", "jsonl", "csv"):
+            for i, run in enumerate(runs):
+                path = WRITERS[fmt](run, tmp_path / f"{i}.{fmt}")
+                assert path.read_text() == reference[fmt](run), (i, fmt)
+
+    def test_exported_trace_equals_its_round_trip_and_an_unexported_run(self, tmp_path):
+        runs = run_experiment(builtin_setting(1), seed=0).runs
+        unexported = run_experiment(builtin_setting(1), seed=0).runs
+        write_trace_csv(runs, tmp_path / "trace.csv")
+        loaded = load_trace_jsonl(write_trace_jsonl(runs, tmp_path / "trace.jsonl"))
+        for mode, run in runs.items():
+            assert "_loads_text" in vars(run.trace)
+            assert run.trace == unexported[mode].trace == loaded[mode]
+            assert loaded[mode] == run.trace and unexported[mode].trace == run.trace
+
+
+def _long_drain():
+    # The benchmark's long drain: 15,616 sequential steps on 8 servers, in
+    # eight blocks of the writers and the reader.
+    spec = GeneratorSpec(64, 8, (1.0, 2.0), (0.5, 1.5), (1e4, 2e4))
+    inst = generate_instance(spec, 7)
+    return {"sequential": run_sequential(DynamicRun(inst, "sequential", seed=1))}
+
+
+class TestLongDrainExport:
+    def test_either_order_writes_the_single_format_bytes(self, tmp_path):
+        single = {
+            fmt: WRITERS[fmt](_long_drain(), tmp_path / f"single.{fmt}").read_bytes()
+            for fmt in WRITERS
+        }
+        for order in (("csv", "jsonl"), ("jsonl", "csv")):
+            runs = _long_drain()
+            assert len(runs["sequential"].trace) > 2 * (_BLOCK // 8)
+            for fmt in order:
+                path = WRITERS[fmt](runs, tmp_path / f"{order[0]}-first.{fmt}")
+                assert path.read_bytes() == single[fmt], (order, fmt)
+
+    def test_reader_holds_a_fraction_of_the_file(self, tmp_path):
+        # Reading the whole 8.1 MB file at once, then one dict per line,
+        # peaked at 24 MB; a block at a time keeps under 6 MB.
+        runs = _long_drain()
+        path = write_trace_jsonl(runs, tmp_path / "trace.jsonl")
+        assert path.stat().st_size > 8e6
+        tracemalloc.start()
+        try:
+            loaded = load_trace_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(loaded) == {"sequential"} and loaded["sequential"] == runs["sequential"].trace
+        assert peak < 6e6
 
 
 class TestDeterminism:

@@ -98,6 +98,26 @@ class TestActionTypes:
         with pytest.raises(ValueError):
             ActionProfile([[0.5, 0.5], [1.1, -0.1]])
 
+    def test_profile_copies_the_callers_matrix(self):
+        mine = np.full((2, 2), 0.5)
+        profile = ActionProfile(mine)
+        assert mine.flags.writeable and not np.shares_memory(mine, profile.matrix)
+        mine[0] = [1.0, 0.0]
+        assert profile.matrix.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+    def test_taken_matrix_is_kept_and_still_checked(self):
+        # The pass hands its own matrix over: no copy, but the same checks.
+        matrix = np.full((2, 2), 0.5)
+        assert ActionProfile._taking(matrix).matrix is matrix
+        assert not matrix.flags.writeable
+        for bad, message in (
+            ([[0.5, 0.5], [0.5, 0.6]], "^profile row 1 sums to 1.1, expected 1$"),
+            ([[0.5, 0.5], [1.1, -0.1]], "^profile must be nonnegative$"),
+            ([[0.5, 0.5], [np.nan, 1.0]], "^profile must contain only finite values$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ActionProfile._taking(np.array(bad))
+
     def test_uniform_profile(self):
         profile = ActionProfile.uniform(3, 4)
         assert profile.matrix.shape == (3, 4)
@@ -156,6 +176,15 @@ class TestArrayRecords:
         for name, value in changed.items():
             other = cls(**{**fields, name: value})
             assert base != other and not base == other, name
+
+    def test_only_the_fields_enter_equality(self, cls, fields, changed):
+        # A record may hold more than its fields, as a trace holds the text
+        # of its loads once exported; equality reads the fields alone.
+        a, b = cls(**fields), cls(**fields)
+        object.__setattr__(a, "_memo", "held by one record only")
+        assert a == b and b == a and not a != b
+        object.__setattr__(b, "_memo", "held by the other")
+        assert a == b and b == a and not a != b
 
     def test_every_field_is_read_only(self, cls, fields, changed):
         record = cls(**fields)

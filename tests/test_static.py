@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -222,6 +223,21 @@ class TestSequentialPass:
             series = [potential(inst, start)] + list(potentials)
             for a, b in zip(series, series[1:]):
                 assert b <= a + 1e-9 * max(1.0, abs(a))
+
+    def test_pass_hands_over_its_own_matrix(self):
+        # The returned profile is the matrix the pass filled, checked but not
+        # copied, so the pass peaks near one (n, m) matrix instead of two.
+        rng = np.random.default_rng(5)
+        inst = Instance(rng.uniform(2, 3, 200), rng.uniform(3, 4, 2000), rng.uniform(10, 20, 2000))
+        tracemalloc.start()
+        try:
+            profile, _ = run_sequential_pass(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * profile.matrix.nbytes
+        assert not profile.matrix.flags.writeable
+        assert profile == ActionProfile(profile.matrix)
 
     def test_rejects_bad_order(self):
         inst = Instance([1.0, 1.0], [1.0])
@@ -527,6 +543,21 @@ class TestPricingKeepsItsBits:
         for inst, profile in self.profiles(np.random.default_rng(29)):
             want = former_player_costs(inst, profile.matrix)
             assert player_costs(inst, profile).tobytes() == want.tobytes()
+
+    def test_player_costs_price_a_block_of_players_at_a_time(self):
+        # Beside the (n, m) work matrix only a block's temporaries are held;
+        # the whole-matrix formula held three (n, m) arrays at once.
+        rng = np.random.default_rng(41)
+        inst = Instance(rng.uniform(2, 3, 200), rng.uniform(3, 4, 2000), rng.uniform(10, 20, 2000))
+        profile = ActionProfile.uniform(200, 2000)
+        tracemalloc.start()
+        try:
+            costs = player_costs(inst, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * profile.matrix.nbytes
+        assert costs.tobytes() == former_player_costs(inst, profile.matrix).tobytes()
 
     def test_empirical_poa_is_social_cost_over_the_optimum_bound(self):
         rng = np.random.default_rng(31)
