@@ -305,27 +305,6 @@ def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
     return list(map(sep.join, zip(*[texts] * values.shape[1])))
 
 
-def _loads_text(trace: Trace) -> tuple[str, tuple[tuple[int, int, str, str], ...]]:
-    # The text of a trace's loads: its start row, and per ``_blocks`` block
-    # ``(start, stop, rows, totals)``, the rows after each drain (values
-    # joined by "," and rows by newlines) and the ``repr`` of each row's sum,
-    # one a line. Built on a trace's first export and kept on it, so a second
-    # writer formats none of it again; the columns are read-only, so the
-    # text never goes stale. One string per block keeps the per-object
-    # overhead of Python strings off the memory it holds.
-    memo = vars(trace).get("_loads_text")
-    if memo is None:
-        blocks = []
-        for start, stop in _blocks(*trace.fractions.shape):
-            after = trace.loads[start + 1 : stop + 1]
-            # C-ordered rows, so numpy sums each like ``row.sum()``.
-            totals = "\n".join(map(repr, after.sum(axis=1).tolist()))
-            blocks.append((start, stop, "\n".join(_rows(after)), totals))
-        memo = (_rows(trace.loads[:1])[0], tuple(blocks))
-        object.__setattr__(trace, "_loads_text", memo)
-    return memo
-
-
 def _filed(runs: dict[str, DynamicRun]) -> dict[str, DynamicRun]:
     # The runs a writer takes: a key labels the rows its run's mode shapes,
     # and every run has one server count, the width of every row.
@@ -353,7 +332,9 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
         out.write(",".join(header) + "\n")
         for mode, run in runs.items():
             trace, converged = run.trace, run.converged_at
-            for start, stop, rows, totals in _loads_text(trace)[1]:
+            for start, stop in _blocks(*trace.fractions.shape):
+                # C-ordered rows, so numpy sums each like ``row.sum()``.
+                after = trace.loads[start + 1 : stop + 1]
                 if mode == MODE_SEQUENTIAL:
                     arriving = trace.arrivals[start:stop, 0].tolist()
                 else:
@@ -361,11 +342,10 @@ def write_trace_csv(runs: dict[str, DynamicRun], path) -> Path:
                 # Python's ``sum`` of each step's costs, as numpy's may round
                 # differently.
                 costs = map(sum, trace.costs[start:stop].tolist())
-                cells = zip(
-                    range(start, stop), arriving, rows.split("\n"), totals.split("\n"), costs
-                )
+                totals = after.sum(axis=1).tolist()
+                cells = zip(range(start, stop), arriving, _rows(after), totals, costs)
                 out.writelines(
-                    f"{t},{mode},{player},{loads},{total},{cost!r},"
+                    f"{t},{mode},{player},{loads},{total!r},{cost!r},"
                     f"{int(converged is not None and t >= converged)}\n"
                     for t, player, loads, total, cost in cells
                 )
@@ -381,11 +361,12 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
         for mode, run in runs.items():
             trace, name = run.trace, json.dumps(mode)
             k, m = trace.fractions.shape[1:]
-            first, blocks = _loads_text(trace)
-            last = first.replace(",", ", ")
-            for start, stop, rows, totals in blocks:
-                # Step t's loads_after is step t+1's loads_before: one text each.
-                afters = rows.replace(",", ", ").split("\n")
+            last = _rows(trace.loads[:1], ", ")[0]
+            for start, stop in _blocks(*trace.fractions.shape):
+                after = trace.loads[start + 1 : stop + 1]
+                # Step t's loads_after is step t+1's loads_before: one text
+                # each, the last of a block carried to the next.
+                afters = _rows(after, ", ")
                 befores = chain((last,), afters)
                 last = afters[-1]
                 # Each step's k rows of fractions, as ``json.dumps`` spaces them.
@@ -398,9 +379,10 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
                     befores,
                     afters,
                     _rows(trace.costs[start:stop], ", "),
-                    # ``json.dumps``'s text for a float: an overflowed total
-                    # reads Infinity.
-                    totals.replace("inf", "Infinity").split("\n"),
+                    # ``json.dumps``'s text for each total, so an overflowed
+                    # one reads Infinity. C-ordered rows, so numpy sums each
+                    # like ``row.sum()``.
+                    json.dumps(after.sum(axis=1).tolist())[1:-1].split(", "),
                 )
                 out.writelines(
                     f'{{"mode": {name}, "t": {t}, "arrivals": [{arrivals}], '
@@ -416,9 +398,10 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
     return path
 
 
-# The keys a JSON-lines step is read by: its step number, where it starts,
-# and the ``Trace`` columns it adds to, in order.
-_KEYS = ("t", "loads_before", "arrivals", "actions", "loads_after", "instantaneous_costs")
+# The keys of a JSON-lines step that fill the ``Trace`` columns, in order,
+# after the mode's start row of loads, and the type each column holds.
+_KEYS = ("arrivals", "actions", "loads_after", "instantaneous_costs")
+_KINDS = (int, float, float, float)
 
 
 def load_trace_jsonl(path) -> dict[str, Trace]:
@@ -426,25 +409,32 @@ def load_trace_jsonl(path) -> dict[str, Trace]:
     ``ValueError`` where a line's ``loads_before`` is not the previous
     line's ``loads_after``: the steps of a mode must chain.
 
-    Reads up to a block of steps of one mode at a time (``_blocks``
-    sizes), checks the block's chain at once, and keeps its columns as
-    arrays."""
+    Reads up to a block of steps of one mode at a time (``_blocks`` sizes)
+    and keeps each block's columns as arrays."""
     grouped: dict[str, tuple[list, ...]] = {}
+    ends: dict[str, list] = {}  # each mode's last loads_after, as read
     mode, block, size = None, (), 0
     with Path(path).open() as lines:
         for line in lines:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            if not block or obj["mode"] != mode or len(block[0]) == size:
+            name, before = obj["mode"], obj["loads_before"]
+            if name not in ends:
+                # A mode's first line starts its chain and its loads column.
+                ends[name] = before
+                grouped[name] = ([], [], [np.array([before], float)], [])
+            if before != ends[name]:
+                raise ValueError(f"{name} step {obj['t']} does not start where the last ended")
+            ends[name] = obj["loads_after"]
+            if not block or name != mode or len(block[0]) == size:
                 if block:
-                    _file_block(grouped, mode, *block)
-                mode, block = obj["mode"], tuple([] for _ in _KEYS)
-                size = _block_steps(len(obj["actions"]), len(obj["loads_before"]))
+                    _file_block(grouped[mode], block)
+                mode, block, size = name, tuple([] for _ in _KEYS), _block_size(obj)
             for column, key in zip(block, _KEYS):
                 column.append(obj[key])
     if block:
-        _file_block(grouped, mode, *block)
+        _file_block(grouped[mode], block)
     del block  # its values are in the columns now, and its lists can go
     return {
         mode: Trace(*(np.concatenate(blocks) for blocks in columns))
@@ -452,23 +442,19 @@ def load_trace_jsonl(path) -> dict[str, Trace]:
     }
 
 
-def _file_block(grouped, mode, steps, befores, arrivals, actions, afters, costs) -> None:
-    # Appends a block of ``mode``'s steps, read as lists by ``_KEYS``, to the
-    # mode's columns in ``grouped`` as arrays, once the block is seen to
-    # chain on to the mode's last ``loads_after``; a mode's first line
-    # starts its chain. One list comparison checks the whole block, by the
-    # equality the rule has always used.
-    columns = grouped.get(mode)
-    if columns is None:
-        columns = grouped[mode] = ([], [], [np.array(befores[:1], float)], [])
-        expected = befores[:1] + afters[:-1]
-    else:
-        expected = [columns[2][-1][-1].tolist()] + afters[:-1]
-    if befores != expected:
-        t = next(t for t, got, want in zip(steps, befores, expected) if got != want)
-        raise ValueError(f"{mode} step {t} does not start where the last ended")
-    kinds = (int, float, float, float)
-    for column, values, kind in zip(columns, (arrivals, actions, afters, costs), kinds):
+def _block_size(obj: dict) -> int:
+    # The ``_blocks`` size of the block a JSON-lines step opens: steps of its
+    # k actions on m servers, neither of them none.
+    actions, loads = obj["actions"], obj["loads_before"]
+    if not (isinstance(actions, list) and isinstance(loads, list) and actions and loads):
+        raise ValueError(f"{obj['mode']} step {obj['t']} has no actions or no loads")
+    return _block_steps(len(actions), len(loads))
+
+
+def _file_block(columns: tuple[list, ...], block: tuple[list, ...]) -> None:
+    # Appends a block of steps, read as lists by ``_KEYS``, to a mode's
+    # ``Trace`` columns as one array each.
+    for column, values, kind in zip(columns, block, _KINDS):
         column.append(np.array(values, kind))
 
 

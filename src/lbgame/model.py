@@ -14,7 +14,7 @@ share across threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def _rows_on_simplex(mat: np.ndarray, name: str) -> np.ndarray:
 class _Record:
     # Base of the frozen array records: their fields are read-only arrays,
     # set by ``_set``, and two records of one type are equal when every
-    # dataclass field is array-equal, whatever else an instance holds.
-    # Records of different types never are.
+    # field is array-equal. Records of different types never are.
 
     def _set(self, **arrays: np.ndarray) -> None:
         for name, arr in arrays.items():
@@ -78,8 +77,7 @@ class _Record:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        names = [f.name for f in fields(self)]
-        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in names)
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,16 +269,9 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     _check_profile(inst, profile)
     rates = inst.service_rates
     work = inst.job_lengths[:, None] * profile.matrix
-    queued = inst.initial_loads + work.sum(axis=0)
-    costs = np.empty(inst.num_players)
-    # Priced in ``_blocks`` of players, so the temporaries beside the work
-    # matrix stay small; each row's bits do not depend on the block.
-    for start, stop in _blocks(inst.num_players, 1, inst.num_servers):
-        mine = work[start:stop]
-        ahead = queued - mine
-        ahead /= rates
-        costs[start:stop] = _wait(mine, ahead, rates)
-    return _finite(costs, "player cost")
+    ahead = inst.initial_loads + work.sum(axis=0) - work
+    ahead /= rates
+    return _finite(_wait(work, ahead, rates), "player cost")
 
 
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:

@@ -1,4 +1,3 @@
-import builtins
 import hashlib
 import json
 import tracemalloc
@@ -330,6 +329,52 @@ class TestTraceExport:
         with pytest.raises(ValueError, match=message):
             load_trace_jsonl(broken)
 
+    @pytest.mark.parametrize("later", ["truncated", "no-mode", "no-t", "actions-not-a-list"])
+    def test_jsonl_chain_break_is_reported_before_a_later_malformed_line(self, later, tmp_path):
+        # Lines are checked as they are read: a break at step 5 is found
+        # before step 6, later in the same block of 2,048, is parsed.
+        runs = ODD_TRACES["partial-block"]()
+        lines = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        step = json.loads(lines[5])
+        step["loads_before"] = step["loads_before"][:-1] + [1.5]
+        lines[5] = json.dumps(step)
+        step = json.loads(lines[6])
+        if later == "truncated":
+            lines[6] = lines[6][: len(lines[6]) // 2]
+        else:
+            if later == "actions-not-a-list":
+                step["actions"] = 1.0
+            else:
+                del step[later[3:]]
+            lines[6] = json.dumps(step)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^sequential step 5 does not start where the last ended$"):
+            load_trace_jsonl(broken)
+
+    @pytest.mark.parametrize(
+        "t, key, value",
+        [
+            (0, "actions", []),
+            (0, "actions", 1.0),
+            (0, "loads_before", []),
+            (2048, "actions", []),
+            (2048, "actions", 1.0),
+        ],
+    )
+    def test_jsonl_step_without_actions_or_loads_is_refused(self, t, key, value, tmp_path):
+        # Step 0 starts the chain, and step 2,048 a block, whose size such a
+        # step cannot give.
+        runs = ODD_TRACES["partial-block"]()
+        lines = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        step = json.loads(lines[t])
+        step[key] = value
+        lines[t] = json.dumps(step)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^sequential step {t} has no actions or no loads$"):
+            load_trace_jsonl(broken)
+
     def test_csv_values_round_trip_exactly(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9)
         path = export_trace(report, tmp_path / "trace.csv")
@@ -447,14 +492,9 @@ ODD_TRACES = {
 }
 
 
-WRITERS = {"csv": write_trace_csv, "jsonl": write_trace_jsonl}
-
-
 class TestExportOracle:
     """The block-wise writers against the per-step reference writers above:
-    the same bytes, and every JSON line the reference step dict. Each case
-    runs afresh and writes both formats, in either order: the second writer
-    reads the loads text the first one built."""
+    the same bytes, and every JSON line the reference step dict."""
 
     @staticmethod
     def same_text(got, want):
@@ -465,11 +505,10 @@ class TestExportOracle:
             assert line == expected, f"line {number} differs"
         assert len(got) == len(want)
 
-    def check(self, runs, tmp_path, order=("csv", "jsonl")):
+    def check(self, runs, tmp_path):
         with np.errstate(over="ignore"):
-            text = {fmt: WRITERS[fmt](runs, tmp_path / f"trace.{fmt}") for fmt in order}
-            text = {fmt: path.read_text() for fmt, path in text.items()}
-            csv, jsonl = text["csv"], text["jsonl"]
+            csv = write_trace_csv(runs, tmp_path / "trace.csv").read_text()
+            jsonl = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text()
             self.same_text(csv, reference_csv(runs))
             self.same_text(jsonl, reference_jsonl(runs))
             records = reference_records(runs)
@@ -487,80 +526,8 @@ class TestExportOracle:
     def test_odd_traces_match_the_reference(self, case, tmp_path):
         self.check(ODD_TRACES[case](), tmp_path)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("sid", range(1, 8))
-    def test_catalog_exports_match_the_reference_jsonl_first(self, sid, seed, tmp_path):
-        runs = run_experiment(builtin_setting(sid), seed=seed).runs
-        self.check(runs, tmp_path, ("jsonl", "csv"))
 
-    @pytest.mark.parametrize("case", list(ODD_TRACES))
-    def test_odd_traces_match_the_reference_jsonl_first(self, case, tmp_path):
-        self.check(ODD_TRACES[case](), tmp_path, ("jsonl", "csv"))
-
-
-def _counted_reprs(monkeypatch):
-    # Counts the values the experiments module formats with ``repr``: it
-    # finds the name at call time, so a module global shadows the builtin
-    # there alone. The CSV formats its cost sums in its line template, which
-    # the count does not see.
-    count = [0]
-
-    def counted(value):
-        count[0] += 1
-        return builtins.repr(value)
-
-    monkeypatch.setattr(experiments, "repr", counted, raising=False)
-    return count
-
-
-class TestLoadsText:
-    """Each trace's loads rows and per-step totals are formatted once, on its
-    first export, and both writers read that text."""
-
-    @pytest.mark.parametrize(
-        "order", [("csv", "jsonl"), ("jsonl", "csv")], ids=["csv-first", "jsonl-first"]
-    )
-    def test_second_writer_formats_no_loads_row_or_total(self, order, monkeypatch, tmp_path):
-        runs = run_experiment(builtin_setting(1), seed=0).runs
-        traces = [run.trace for run in runs.values()]
-        loads = sum(trace.loads.size + len(trace) for trace in traces)
-        # What a writer formats of its own: JSON-lines writes every step's
-        # arrivals, fractions and costs.
-        own = {
-            "csv": 0,
-            "jsonl": sum(t.arrivals.size + t.fractions.size + t.costs.size for t in traces),
-        }
-        count = _counted_reprs(monkeypatch)
-        first, second = order
-        WRITERS[first](runs, tmp_path / f"trace.{first}")
-        assert count[0] == loads + own[first]
-        count[0] = 0
-        WRITERS[second](runs, tmp_path / f"trace.{second}")
-        assert count[0] == own[second]
-
-    def test_alternating_traces_keep_their_own_text(self, tmp_path):
-        # Two runs of one shape on one instance, exported in turn.
-        inst = builtin_setting(1).instance
-        runs = [
-            {"sequential": run_sequential(DynamicRun(inst, "sequential", seed=seed))}
-            for seed in (1, 2)
-        ]
-        assert runs[0]["sequential"].trace != runs[1]["sequential"].trace
-        reference = {"csv": reference_csv, "jsonl": reference_jsonl}
-        for fmt in ("csv", "jsonl", "csv"):
-            for i, run in enumerate(runs):
-                path = WRITERS[fmt](run, tmp_path / f"{i}.{fmt}")
-                assert path.read_text() == reference[fmt](run), (i, fmt)
-
-    def test_exported_trace_equals_its_round_trip_and_an_unexported_run(self, tmp_path):
-        runs = run_experiment(builtin_setting(1), seed=0).runs
-        unexported = run_experiment(builtin_setting(1), seed=0).runs
-        write_trace_csv(runs, tmp_path / "trace.csv")
-        loaded = load_trace_jsonl(write_trace_jsonl(runs, tmp_path / "trace.jsonl"))
-        for mode, run in runs.items():
-            assert "_loads_text" in vars(run.trace)
-            assert run.trace == unexported[mode].trace == loaded[mode]
-            assert loaded[mode] == run.trace and unexported[mode].trace == run.trace
+WRITERS = {"csv": write_trace_csv, "jsonl": write_trace_jsonl}
 
 
 def _long_drain():
@@ -573,6 +540,7 @@ def _long_drain():
 
 class TestLongDrainExport:
     def test_either_order_writes_the_single_format_bytes(self, tmp_path):
+        # An export of a run leaves nothing that changes its next export.
         single = {
             fmt: WRITERS[fmt](_long_drain(), tmp_path / f"single.{fmt}").read_bytes()
             for fmt in WRITERS

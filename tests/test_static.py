@@ -544,21 +544,6 @@ class TestPricingKeepsItsBits:
             want = former_player_costs(inst, profile.matrix)
             assert player_costs(inst, profile).tobytes() == want.tobytes()
 
-    def test_player_costs_price_a_block_of_players_at_a_time(self):
-        # Beside the (n, m) work matrix only a block's temporaries are held;
-        # the whole-matrix formula held three (n, m) arrays at once.
-        rng = np.random.default_rng(41)
-        inst = Instance(rng.uniform(2, 3, 200), rng.uniform(3, 4, 2000), rng.uniform(10, 20, 2000))
-        profile = ActionProfile.uniform(200, 2000)
-        tracemalloc.start()
-        try:
-            costs = player_costs(inst, profile)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * profile.matrix.nbytes
-        assert costs.tobytes() == former_player_costs(inst, profile.matrix).tobytes()
-
     def test_empirical_poa_is_social_cost_over_the_optimum_bound(self):
         rng = np.random.default_rng(31)
         for sid in range(1, 8):
