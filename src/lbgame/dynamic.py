@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Action, InfeasibleError, Instance, ServerLoads, _Record
-from .model import _BLOCK, _blocks, _check_player, _drain, _finite, _integer, _queues
-from .model import _rows_on_simplex, _wait
+from .model import _BLOCK, _blocks, _check_player, _drain, _finite, _integer, _nonzero
+from .model import _queues, _rows_on_simplex, _wait
 from .static import _pass, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
@@ -355,7 +355,8 @@ def zero_load_time_alt(inst: Instance) -> int:
 
     Uses the smallest per-step decrease of the total backlog across the
     possible cases: all servers receiving, only loaded servers receiving, or
-    the slowest server emptying what little it still holds.
+    the slowest server emptying what little it still holds. A decrease that
+    underflows float64 to 0 raises ``ValueError``.
     """
     _stable(inst, MODE_SEQUENTIAL, "infeasible for the alternative bound")
     slowest = inst.min_service_rate
@@ -365,5 +366,6 @@ def zero_load_time_alt(inst: Instance) -> int:
             slowest * inst.min_job_length / (inst.total_service_rate - slowest)
         )
     backlog = float(inst.initial_loads.sum())
-    return math.ceil(_finite(backlog / min(decreases), "the alternative bound"))
+    drain = _nonzero(min(decreases), "the alternative bound's smallest decrease")
+    return math.ceil(_finite(backlog / drain, "the alternative bound"))
 

@@ -259,19 +259,44 @@ def _finite(value, what: str):
     return value
 
 
+def _nonzero(value: float, what: str) -> float:
+    # Float64 underflow must fail loudly too: a divisor that is positive in
+    # exact arithmetic must not round to 0 and divide by zero.
+    if value == 0:
+        raise ValueError(f"{what} is 0: the instance's magnitudes underflow float64")
+    return value
+
+
 def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     """Every player's average wait time under the full profile.
 
     For each server, a player's share waits behind the initial load plus all
-    other players' work there, and behind half of its own share. A cost
-    that overflows float64 raises ``ValueError``.
+    other players' work there, and behind half of its own share. Pricing
+    walks ``_blocks`` of players, so it holds one block's work beside the
+    profile and never another (n, m) array. A cost that overflows float64
+    raises ``ValueError``.
     """
     _check_profile(inst, profile)
-    rates = inst.service_rates
-    work = inst.job_lengths[:, None] * profile.matrix
-    ahead = inst.initial_loads + work.sum(axis=0) - work
-    ahead /= rates
-    return _finite(_wait(work, ahead, rates), "player cost")
+    matrix, lengths, rates = profile.matrix, inst.job_lengths, inst.service_rates
+    n, m = matrix.shape
+    # numpy sums the columns of a wider matrix row after row, and the
+    # running sum carried in row 0 of ``buf`` repeats that block by block;
+    # but it sums a single column pairwise, so one server is one block.
+    blocks = list(_blocks(n, 1, m)) if m > 1 else [(0, n)]
+    buf, carried = np.empty((blocks[0][1] + 1, m)), 0
+    for start, stop in blocks:
+        end = carried + stop - start
+        np.multiply(lengths[start:stop, None], matrix[start:stop], out=buf[carried:end])
+        buf[0] = buf[:end].sum(axis=0)
+        carried = 1
+    queued = inst.initial_loads + buf[0]
+    costs = np.empty(n)
+    for start, stop in blocks:
+        work = np.multiply(lengths[start:stop, None], matrix[start:stop], out=buf[: stop - start])
+        ahead = queued - work
+        ahead /= rates
+        costs[start:stop] = _wait(work, ahead, rates)
+    return _finite(costs, "player cost")
 
 
 def instantaneous_cost(inst: Instance, action: Action, loads: ServerLoads, i: int) -> float:

@@ -23,6 +23,7 @@ from .model import (
     _check_profile,
     _finite,
     _integer,
+    _nonzero,
     _per_server,
     normalized_loads,
     player_costs,
@@ -246,7 +247,10 @@ def is_nash(inst: Instance, profile: ActionProfile) -> NashCheck:
     Cost is convex in a player's own work, with the normalized loads as
     gradient, so the gap (its work times each used server's height above
     the lowest level) bounds its gain from moving alone and is 0 exactly at
-    an equilibrium. Float64 overflow raises ValueError.
+    an equilibrium. Pricing holds one block of players beside the
+    profile (:func:`player_costs`), and each gap is the player's job
+    length times its row's product with the heights, so the check forms
+    no (n, m) array. Float64 overflow raises ValueError.
     """
     return _nash(inst, profile)[0]
 
@@ -255,8 +259,8 @@ def _nash(inst: Instance, profile: ActionProfile):
     # ``is_nash``'s check and the player costs it was judged against.
     costs = player_costs(inst, profile)
     levels = normalized_loads(inst, profile)
-    work = inst.job_lengths[:, None] * profile.matrix
-    gaps = _finite(work @ (levels - levels.min()), "equilibrium gap")
+    row_heights = profile.matrix @ (levels - levels.min())
+    gaps = _finite(inst.job_lengths * row_heights, "equilibrium gap")
     return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max())), costs
 
 
@@ -288,9 +292,10 @@ def opt_lower_bound(inst: Instance) -> float:
 def empirical_poa(inst: Instance, ne_profile: ActionProfile) -> float:
     """Ratio of a given equilibrium's social cost to the optimum lower bound.
 
-    The profile must pass :func:`is_nash`, or ``ValueError`` is raised.
-    Conservative: never smaller than the true inefficiency ratio of that
-    equilibrium, and always below :func:`poa_upper_bound`.
+    The profile must pass :func:`is_nash`, or ``ValueError`` is raised, as
+    it is for a bound that overflows or underflows float64. Conservative:
+    never smaller than the true inefficiency ratio of that equilibrium,
+    and always below :func:`poa_upper_bound`.
     """
     cost, bound = _poa(inst, ne_profile)
     return cost / bound
@@ -305,4 +310,5 @@ def _poa(inst: Instance, ne_profile: ActionProfile) -> tuple[float, float]:
             "profile fails the equilibrium check: a unilateral move improves "
             f"some cost by up to {check.max_improvement:.3e}"
         )
-    return _finite(float(costs.sum()), "social cost"), opt_lower_bound(inst)
+    cost = _finite(float(costs.sum()), "social cost")
+    return cost, _nonzero(opt_lower_bound(inst), "optimum bound")

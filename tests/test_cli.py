@@ -422,6 +422,20 @@ class TestErrorSurface:
         assert err.count("\n") == 1
         assert "overflow float64" in err
 
+    @pytest.mark.parametrize(
+        "command, divisor",
+        [("poa", "optimum bound"), ("dynamic", "the alternative bound's smallest decrease")],
+    )
+    def test_underflow_is_one_line(self, capsys, config_file, command, divisor):
+        # Scaled by 1e-170, the optimum bound and the alternative bound's
+        # smallest decrease round to 0: each is named, not divided by.
+        instance = {"mu": [1e-170, 2e-170], "lambda": [1e-170, 0.5e-170], "s0": [0, 1e-170]}
+        path = config_file({"instance": instance})
+        code, _, err = run_cli(capsys, command, "--config", path, "--seed", "1")
+        assert code == 1
+        reason = "the instance's magnitudes underflow float64"
+        assert err == f"lbgame: error: {divisor} is 0: {reason}\n"
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

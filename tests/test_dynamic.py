@@ -594,6 +594,12 @@ class TestBounds:
         with pytest.raises(ValueError, match="bound is not finite"):
             bound(inst)
 
+    def test_underflowing_decrease_is_refused(self):
+        # At 1e-170, slowest * min_job_length rounds to 0.
+        tiny = Instance([1e-170, 0.5e-170], [1e-170, 2e-170], [0.0, 1e-170])
+        with pytest.raises(ValueError, match="^the alternative bound's smallest decrease is 0"):
+            zero_load_time_alt(tiny)
+
     def test_setting_one_bound_holds_over_random_orders(self):
         inst = builtin_setting(1).instance
         bound = min(zero_load_time(inst), zero_load_time_alt(inst))

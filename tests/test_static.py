@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from lbgame import (
     best_response,
     builtin_setting,
     empirical_poa,
+    generate_instance,
     instantaneous_cost,
     is_nash,
     normalized_loads,
@@ -520,6 +522,16 @@ def former_player_costs(inst, matrix):
     return np.sum(terms, axis=-1)
 
 
+def former_nash(inst, matrix):
+    """``is_nash`` as it was written before pricing took blocks of players:
+    the whole work matrix times the heights. Returns the verdict, the gaps
+    and the former player costs."""
+    costs = former_player_costs(inst, matrix)
+    levels = (inst.initial_loads + inst.job_lengths @ matrix) / inst.service_rates
+    gaps = (inst.job_lengths[:, None] * matrix) @ (levels - levels.min())
+    return bool(np.all(gaps <= 1e-8 * costs)), gaps, costs
+
+
 class TestPricingKeepsItsBits:
     """The in-place pricing gives the bits of the formulas it replaced."""
 
@@ -567,6 +579,59 @@ class TestPricingKeepsItsBits:
             assert potentials == want_potentials
 
 
+class TestEveryBlockSizeKeepsTheBits:
+    """Pricing a block of players at a time gives the former formulas' bits
+    at any block size. The one exception is the gap, whose former bits came
+    from BLAS, which sums a matrix product in an order that depends on how
+    it groups and threads the rows: the gap stays within rounding of the
+    former one and is the same at every block size."""
+
+    @staticmethod
+    def cases(rng):
+        # The profiles above (setting 2's 500 players are a multiple of no
+        # block size), random pass equilibria and one-server instances.
+        yield from TestPricingKeepsItsBits.profiles(rng)
+        for _ in range(40):
+            inst = random_instance(rng, max_players=12, max_servers=12)
+            yield inst, run_sequential_pass(inst, order=rng.permutation(inst.num_players))[0]
+        for n in (1, 5, 12):
+            inst = Instance(rng.uniform(0.1, 2.5, n), [1.3], [0.4])
+            yield inst, ActionProfile(np.ones((n, 1)))
+
+    @pytest.mark.parametrize("rows", [1, 7, 13])
+    def test_pricing_matches_the_former_formulas(self, rows):
+        cases = list(self.cases(np.random.default_rng(43)))
+        checks = [is_nash(inst, profile) for inst, profile in cases]
+        with pytest.MonkeyPatch.context() as patch:
+            for (inst, profile), default in zip(cases, checks):
+                patch.setattr(model, "_BLOCK", rows * inst.num_servers)
+                verdict, gaps, costs = former_nash(inst, profile.matrix)
+                assert player_costs(inst, profile).tobytes() == costs.tobytes()
+                assert social_cost(inst, profile) == float(costs.sum())
+                check = is_nash(inst, profile)
+                assert check == default
+                assert check.is_equilibrium == verdict
+                assert check.max_improvement == pytest.approx(gaps.max(), rel=1e-13, abs=0)
+                if verdict:
+                    bound = opt_lower_bound(inst)
+                    assert empirical_poa(inst, profile) == float(costs.sum()) / bound
+
+    def test_pricing_holds_one_block_of_players(self):
+        # ``scaled_equilibrium``'s instance at seed 1, whose profile takes
+        # 8 MB: the whole-matrix formulas peaked at 23 MB beside it.
+        spec = replace(builtin_setting(2).generator, num_players=2000, num_servers=500)
+        inst = generate_instance(spec, 1)
+        profile, _ = run_sequential_pass(inst)
+        for price in (is_nash, social_cost, empirical_poa):
+            tracemalloc.start()
+            try:
+                price(inst, profile)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (price.__name__, peak)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteFailsLoudly:
     """Scaled by 1e160, the 2x2 instance's potential and optimum overflow
@@ -603,6 +668,15 @@ class TestNonFiniteFailsLoudly:
         assert is_nash(self.scaled, profile).is_equilibrium
         with pytest.raises(ValueError, match="not finite"):
             empirical_poa(self.scaled, profile)
+
+    def test_empirical_poa_refuses_an_optimum_bound_that_underflows(self):
+        # At 1e-170 the bound's squared work rounds to 0: a refusal, not a
+        # division by zero.
+        tiny = Instance([1e-170, 0.5e-170], [1e-170, 2e-170], [0.0, 1e-170])
+        profile, _ = run_sequential_pass(tiny)
+        assert is_nash(tiny, profile).is_equilibrium
+        with pytest.raises(ValueError, match="^optimum bound is 0: .* underflow float64$"):
+            empirical_poa(tiny, profile)
 
     @pytest.mark.parametrize(
         "measure, inst, match",
