@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Action, InfeasibleError, Instance, ServerLoads, _Record
-from .model import _BLOCK, _blocks, _check_player, _drain, _finite, _integer, _nonzero
+from .model import _BLOCK, _blocks, _check_player, _finite, _integer, _nonzero
 from .model import _queues, _rows_on_simplex, _wait
 from .static import _pass, _respond
 
@@ -30,23 +30,6 @@ MODE_SIMULTANEOUS = "simultaneous"
 
 # Largest trace a run may hold, counted in values over all columns.
 _MAX_TRACE_VALUES = 2**26
-
-# Most servers a drain step runs on Python floats for. A step on a few
-# servers is mostly per-call overhead on arrays, which floats avoid, but the
-# float step's cost grows with m, the more so the more servers the job
-# spreads over. Microseconds per step, n=64, 3,000 random steps with queues
-# U[0, 20] ("busy", a support of a few servers) or empty (full support);
-# 2-core Xeon, numpy 2.4:
-#
-#     m              4    8    16   24   32   48    64    128
-#     arrays, busy   8.6  8.7  8.9  9.3  9.4  9.8   10.3  13.1
-#     floats, busy   1.6  2.1  3.0  3.9  4.9  7.1   9.0   17.7
-#     arrays, empty  8.5  8.6  8.7  8.8  8.9  9.1   9.2   10.4
-#     floats, empty  2.1  3.0  4.8  6.6  8.2  12.2  15.3  29.4
-#
-# Up to 24 servers the float step takes at most three quarters of the array
-# step's time in both regimes.
-_FLOAT_SERVERS = 24
 
 
 @dataclass(frozen=True)
@@ -199,26 +182,21 @@ def _arrivals(run: DynamicRun):
 
 def _play(run: DynamicRun, mode: str) -> DynamicRun:
     # The one stepping loop keeps only the arrivals and the loads: each step
-    # one arrival best-responds to the queues, which then drain. A
-    # simultaneous run steps the merged one-player instance, whose drain is
-    # every round's. Up to ``_FLOAT_SERVERS`` servers a step runs on Python
-    # floats, above on arrays; both give the same bits. ``_settle`` then
-    # prices all steps from the loads they observed, and one ``Trace``
-    # checks the columns without copying them. They go on a shallow copy of
-    # ``run``, so its configuration is not checked, nor its trace built, again.
+    # one arrival best-responds to the queues, which then drain, on Python
+    # floats. A simultaneous run steps the merged one-player instance, whose
+    # drain is every round's. ``_settle`` then prices all steps from the
+    # loads they observed, and one ``Trace`` checks the columns without
+    # copying them. They go on a shallow copy of ``run``, so its
+    # configuration is not checked, nor its trace built, again.
     if run.mode != mode:
         raise ValueError(f"run config mode must be {mode!r}")
     inst = _drain_instance(run.inst, mode)
-    lengths, rates, start = inst.job_lengths.tolist(), inst.service_rates, inst.initial_loads
-    if inst.num_servers <= _FLOAT_SERVERS:
-        step, busy, rates, start = _float_step, any, rates.tolist(), start.tolist()
-    else:
-        step, busy = _array_step, np.count_nonzero
-    arrivals, loads, candidate = [], [start], None
+    lengths, rates = inst.job_lengths.tolist(), inst.service_rates.tolist()
+    arrivals, loads, candidate = [], [inst.initial_loads.tolist()], None
     for t, i in enumerate(_arrivals(run)):
-        loads.append(step(lengths[i], rates, loads[-1]))
+        loads.append(_float_step(lengths[i], rates, loads[-1]))
         arrivals.append(i)
-        if busy(loads[-1]):
+        if any(loads[-1]):
             candidate = None
         elif candidate is None:
             candidate = t
@@ -234,16 +212,12 @@ def _play(run: DynamicRun, mode: str) -> DynamicRun:
     return done
 
 
-def _array_step(length: float, rates: np.ndarray, loads: np.ndarray) -> np.ndarray:
-    # One drain step: a job of ``length`` best-responds to ``loads``, which
-    # then drain.
-    return _drain(loads, length * _respond(length, rates, loads)[0], rates)
-
-
 def _float_step(length: float, rates: list, loads: list) -> list:
-    # ``_array_step`` on lists of Python floats, by the same IEEE operations
+    # One drain step on lists of Python floats: a job of ``length``
+    # best-responds to ``loads``, which then drain. The same IEEE operations
     # in the same order as ``_water_fill``, ``_respond`` and ``_drain``, so
-    # every bit agrees. The stable sort breaks ties by index, like
+    # every bit agrees with ``_drain(loads, length * _respond(...)[0],
+    # rates)`` on arrays. The stable sort breaks ties by index, like
     # ``argsort(kind="stable")``; the running sums are the cumulative ones
     # up to the first server that stops the fill; ``x if x >= 0.0 else 0.0``
     # is ``max(x, 0.0)`` without the call.

@@ -407,7 +407,9 @@ _KINDS = (int, float, float, float)
 def load_trace_jsonl(path) -> dict[str, Trace]:
     """Read back a JSON-lines trace as one :class:`Trace` per mode. Raises
     ``ValueError`` where a line's ``loads_before`` is not the previous
-    line's ``loads_after``: the steps of a mode must chain.
+    line's ``loads_after``: the steps of a mode must chain. A line that is
+    not a step object, or lacks one of its fields, raises ``ValueError``
+    naming the line.
 
     Reads up to a block of steps of one mode at a time (``_blocks`` sizes)
     and keeps each block's columns as arrays."""
@@ -415,24 +417,31 @@ def load_trace_jsonl(path) -> dict[str, Trace]:
     ends: dict[str, list] = {}  # each mode's last loads_after, as read
     mode, block, size = None, (), 0
     with Path(path).open() as lines:
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             obj = json.loads(line)
-            name, before = obj["mode"], obj["loads_before"]
-            if name not in ends:
+            try:
+                name, before, t = obj["mode"], obj["loads_before"], obj["t"]
+                values = [obj[key] for key in _KEYS]
+                opens = name not in ends
+            except KeyError as missing:
+                raise ValueError(f"line {number} has no {missing} field") from None
+            except TypeError:
+                raise ValueError(f"line {number} is not a trace step object") from None
+            if opens:
                 # A mode's first line starts its chain and its loads column.
                 ends[name] = before
                 grouped[name] = ([], [], [np.array([before], float)], [])
             if before != ends[name]:
-                raise ValueError(f"{name} step {obj['t']} does not start where the last ended")
+                raise ValueError(f"{name} step {t} does not start where the last ended")
             ends[name] = obj["loads_after"]
             if not block or name != mode or len(block[0]) == size:
                 if block:
                     _file_block(grouped[mode], block)
                 mode, block, size = name, tuple([] for _ in _KEYS), _block_size(obj)
-            for column, key in zip(block, _KEYS):
-                column.append(obj[key])
+            for column, value in zip(block, values):
+                column.append(value)
     if block:
         _file_block(grouped[mode], block)
     del block  # its values are in the columns now, and its lists can go

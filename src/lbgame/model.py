@@ -321,15 +321,19 @@ def _wait(work: np.ndarray, ahead: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.sum(terms, axis=-1)
 
 
-def _potential_of(queued: np.ndarray, rates: np.ndarray) -> float:
-    # Raw kernel: the potential of per-server queues holding ``queued``.
-    return float(np.sum(queued * queued / (2.0 * rates)))
+def _potential_of(queued: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    # Raw kernel: the potential of per-server queues holding ``queued``, per
+    # row of a (B, m) block (summed over the last axis). A 1-D ``queued``
+    # gives a 0-d result. numpy sums each contiguous row pairwise, so a row
+    # of a block has the bits of that row alone.
+    return np.sum(queued * queued / (2.0 * rates), axis=-1)
 
 
 def _potential_matrix(inst: Instance, matrix: np.ndarray) -> float:
     # Raw-matrix kernel; also used by finite-difference checks that step
     # slightly off the simplex.
-    return _potential_of(inst.initial_loads + inst.job_lengths @ matrix, inst.service_rates)
+    queued = inst.initial_loads + inst.job_lengths @ matrix
+    return float(_potential_of(queued, inst.service_rates))
 
 
 def potential(inst: Instance, profile: ActionProfile) -> float:

@@ -25,6 +25,7 @@ from .model import (
     _integer,
     _nonzero,
     _per_server,
+    _potential_of,
     normalized_loads,
     player_costs,
 )
@@ -136,11 +137,10 @@ def _respond(length, rates: np.ndarray, loads: np.ndarray):
     # ``length`` or a (B, 1) column of them. Returns ``(fractions, level,
     # support, order)`` batched like ``loads``. One row keeps the 1-D kernel,
     # which the static pass calls once per update (2,000 times on
-    # ``scaled_equilibrium``), as does the array step of a drain on more
-    # servers than ``dynamic._FLOAT_SERVERS``: a (1, m) row costs 3.1x as
-    # much through ``_water_fill_rows`` at m=8 and m=50 (45.6 vs 14.8 and
-    # 47.5 vs 15.3 us) and 2.0x at m=500 (62.5 vs 31.5 us); medians of 25
-    # interleaved runs, 2-core Xeon, numpy 2.4, shared host.
+    # ``scaled_equilibrium``): a (1, m) row costs 3.1x as much through
+    # ``_water_fill_rows`` at m=8 and m=50 (45.6 vs 14.8 and 47.5 vs 15.3
+    # us) and 2.0x at m=500 (62.5 vs 31.5 us); medians of 25 interleaved
+    # runs, 2-core Xeon, numpy 2.4, shared host.
     fill = _water_fill if loads.ndim == 1 else _water_fill_rows
     amounts, level, support, order = fill(length, rates, loads / rates)
     return amounts / length, level, support, order
@@ -180,7 +180,7 @@ def run_sequential_pass(
     order = list(range(n)) if order is None else [_integer(i, "order entry") for i in order]
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all player indices")
-    loads, doubled = inst.initial_loads, 2.0 * inst.service_rates
+    loads = inst.initial_loads
     updates = _pass(inst, loads, matrix, order)
     blocks = list(_blocks(n, 1, m))
     queued, potentials = np.empty((blocks[0][1], m)), []
@@ -189,8 +189,7 @@ def run_sequential_pass(
         # ``zip`` stops on the block's end before it asks for another update.
         for row, totals in zip(block, updates):
             np.add(loads, totals, out=row)
-        # numpy sums each contiguous row pairwise, like ``_potential_of``.
-        potentials += np.sum(block * block / doubled, axis=1).tolist()
+        potentials += _potential_of(block, inst.service_rates).tolist()
     for _ in updates:  # runs the drift guard
         pass
     return ActionProfile._taking(matrix), _finite(potentials, "potential")

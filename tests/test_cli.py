@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -445,3 +446,24 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("setting ") == 7
+
+
+def test_static_profile_keeps_its_bytes_across_blas_threads(tmp_path):
+    # The pass sums the players' work with BLAS, whose summation order can
+    # follow its thread count. At setting 2's size (500 x 200) the profile
+    # keeps its bytes under 1 and 2 OpenBLAS threads. At 1000 x 500 it does
+    # not, so in general a run repeats byte for byte only at a fixed count.
+    source = str(Path(model.__file__).parents[1])
+    profiles = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"profile-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "lbgame", "static", "--setting", "2", "--seed", "1", "--out", path],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        profiles.append(path.read_bytes())
+    assert profiles[0] == profiles[1]

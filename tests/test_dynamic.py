@@ -490,45 +490,67 @@ class TestSharedKernels:
         assert run_simultaneous(DynamicRun(inst, "simultaneous")).converged_at is not None
 
 
+def oracle_step(length, rates, loads):
+    """One drain step on arrays: the water-fill best response of a job of
+    ``length`` to ``loads``, then the clamped drain. The reference that the
+    stepping loop's float kernel must match bit for bit."""
+    return model._drain(loads, length * static._respond(length, rates, loads)[0], rates)
+
+
 class TestStepPaths:
-    """Drain instances of up to ``_FLOAT_SERVERS`` servers step on Python
-    floats, wider ones on arrays; forced onto either path, a run must give
-    the same bits."""
+    """Every drain step runs on Python floats; replayed step by step with
+    the array formula, a run's loads and ``converged_at`` keep every bit."""
 
     @staticmethod
-    def assert_paths_agree(monkeypatch, play, cfg):
-        runs = []
-        for cap in (0, 10**9):  # every drain on arrays, then every one on floats
-            monkeypatch.setattr(dynamic, "_FLOAT_SERVERS", cap)
-            runs.append(play(cfg))
-        arrays, floats = runs
-        assert arrays.trace == floats.trace
-        # Array equality takes -0.0 for 0.0; the bytes do not.
-        assert arrays.trace.loads.tobytes() == floats.trace.loads.tobytes()
-        assert arrays.converged_at == floats.converged_at
+    def assert_agrees(done):
+        inst, trace = done.inst, done.trace
+        if done.mode == "simultaneous":
+            lengths = [inst.total_job_length] * len(trace)  # the merged job
+        else:
+            lengths = inst.job_lengths[trace.arrivals[:, 0]].tolist()
+        rates, loads = inst.service_rates, trace.loads
+        for t, length in enumerate(lengths):
+            # Array equality takes -0.0 for 0.0; the bytes do not.
+            assert loads[t + 1].tobytes() == oracle_step(length, rates, loads[t]).tobytes()
+        # The first step of the run's final stretch of empty queues.
+        after_busy = 1 + max((t for t in range(len(trace)) if loads[t + 1].any()), default=-1)
+        assert done.converged_at == (after_busy if after_busy < len(trace) else None)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("sid", range(1, 8))
-    def test_catalog_runs_agree(self, sid, seed, monkeypatch):
+    def test_catalog_runs_agree(self, sid, seed):
         setting = builtin_setting(sid)
         inst = setting_instance(setting, seed)
         for mode, play in (("sequential", run_sequential), ("simultaneous", run_simultaneous)):
             if mode in setting.modes:
-                self.assert_paths_agree(monkeypatch, play, DynamicRun(inst, mode, seed=seed))
+                self.assert_agrees(play(DynamicRun(inst, mode, seed=seed)))
 
-    def test_long_drain_shaped_run_agrees(self, monkeypatch):
+    def test_long_drain_shaped_run_agrees(self):
         spec = GeneratorSpec(64, 8, (1.0, 2.0), (0.5, 1.5), (1e4, 2e4))
         cfg = DynamicRun(generate_instance(spec, 7), "sequential", seed=0, max_steps=2000)
-        self.assert_paths_agree(monkeypatch, run_sequential, cfg)
+        self.assert_agrees(run_sequential(cfg))
+
+    @pytest.mark.parametrize(
+        "mode, play",
+        [("sequential", run_sequential), ("simultaneous", run_simultaneous)],
+        ids=["sequential", "simultaneous"],
+    )
+    def test_wide_drain_agrees(self, mode, play):
+        # 200 servers that drain over hundreds of steps: the support grows
+        # as queues empty, and empty queues tie at level 0.
+        spec = GeneratorSpec(16, 200, (1.0, 2.0), (0.5, 1.5), (0.0, 2e3))
+        inst = generate_instance(spec, 3, require_simultaneous=mode == "simultaneous")
+        done = play(DynamicRun(inst, mode, seed=3, max_steps=3000))
+        assert done.converged_at is not None and done.converged_at > 100
+        self.assert_agrees(done)
 
 
 @st.composite
 def drain_steps(draw):
-    """One drain step's ``(length, rates, loads)``: m from 1 to 8 or at the
-    float-step switch and one above it; rates and loads from small grids
-    (tied levels, exact and negative zeros) or wide ranges; a job of
-    ordinary size or far below its queues."""
-    m = draw(st.integers(1, 8) | st.sampled_from([dynamic._FLOAT_SERVERS, dynamic._FLOAT_SERVERS + 1]))
+    """One drain step's ``(length, rates, loads)``: m from 1 to 8 or wide;
+    rates and loads from small grids (tied levels, exact and negative zeros)
+    or wide ranges; a job of ordinary size or far below its queues."""
+    m = draw(st.integers(1, 8) | st.sampled_from([25, 64, 200, 500]))
     rates = st.sampled_from([0.25, 0.5, 1.0, 3.0]) | st.floats(1e-3, 1e3)
     loads = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e6)
     length = draw(st.sampled_from([1.0, 2.0**-40]) | st.floats(1e-9, 1e3))
@@ -540,9 +562,8 @@ def drain_steps(draw):
 @given(drain_steps())
 def test_float_step_is_the_array_step(step):
     length, rates, loads = step
-    want = model._drain(loads, length * static._respond(length, rates, loads)[0], rates)
     got = np.array(dynamic._float_step(length, rates.tolist(), loads.tolist()))
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == oracle_step(length, rates, loads).tobytes()
 
 
 class TestBounds:

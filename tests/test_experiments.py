@@ -375,6 +375,22 @@ class TestTraceExport:
         with pytest.raises(ValueError, match=f"^sequential step {t} has no actions or no loads$"):
             load_trace_jsonl(broken)
 
+    @pytest.mark.parametrize("index", [0, 3])
+    @pytest.mark.parametrize("change", ["no-loads_after", "no-mode", "a-list"])
+    def test_jsonl_malformed_line_is_refused_by_number(self, index, change, tmp_path):
+        report = run_experiment(builtin_setting(5), seed=9)
+        lines = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        if change == "a-list":
+            lines[index], message = "[1, 2]", "is not a trace step object"
+        else:
+            step = json.loads(lines[index])
+            del step[change[3:]]
+            lines[index], message = json.dumps(step), f"has no '{change[3:]}' field"
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^line {index + 1} {message}$"):
+            load_trace_jsonl(broken)
+
     def test_csv_values_round_trip_exactly(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9)
         path = export_trace(report, tmp_path / "trace.csv")
