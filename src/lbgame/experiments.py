@@ -216,7 +216,7 @@ class ExperimentReport:
     simultaneous: DynamicRun | None = None
 
     def __post_init__(self):
-        for mode, run in _filed(self.runs).items():
+        for mode, run in (self.runs and _filed(self.runs)).items():
             if run.inst != self.instance:
                 raise ValueError(
                     f"the {mode} run was played on another instance than the report's"
@@ -306,8 +306,10 @@ def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
 
 
 def _filed(runs: dict[str, DynamicRun]) -> dict[str, DynamicRun]:
-    # The runs a writer takes: a key labels the rows its run's mode shapes,
-    # and every run has one server count, the width of every row.
+    # The runs a writer takes: at least one, a key labels the rows its run's
+    # mode shapes, and every run has one server count, the width of every row.
+    if not runs:
+        raise ValueError("no runs to write")
     for mode, run in runs.items():
         if mode != run.mode:
             raise ValueError(f"a {run.mode} run is filed under {mode!r}")
@@ -408,8 +410,8 @@ def load_trace_jsonl(path) -> dict[str, Trace]:
     """Read back a JSON-lines trace as one :class:`Trace` per mode. Raises
     ``ValueError`` where a line's ``loads_before`` is not the previous
     line's ``loads_after``: the steps of a mode must chain. A line that is
-    not a step object, or lacks one of its fields, raises ``ValueError``
-    naming the line.
+    not JSON, not a step object, or lacks one of its fields, raises
+    ``ValueError`` naming the line.
 
     Reads up to a block of steps of one mode at a time (``_blocks`` sizes)
     and keeps each block's columns as arrays."""
@@ -420,11 +422,13 @@ def load_trace_jsonl(path) -> dict[str, Trace]:
         for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
             try:
+                obj = json.loads(line)
                 name, before, t = obj["mode"], obj["loads_before"], obj["t"]
                 values = [obj[key] for key in _KEYS]
                 opens = name not in ends
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {number} is not JSON: {exc.msg}") from None
             except KeyError as missing:
                 raise ValueError(f"line {number} has no {missing} field") from None
             except TypeError:

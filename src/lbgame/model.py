@@ -267,6 +267,12 @@ def _nonzero(value: float, what: str) -> float:
     return value
 
 
+def _work(lengths: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    # The one sum of the players' work per server, lambda^T X, over any batch
+    # axes: einsum adds the rows in turn without BLAS, whatever its threads.
+    return np.einsum("i,...ij->...j", lengths, matrix)
+
+
 def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     """Every player's average wait time under the full profile.
 
@@ -278,21 +284,10 @@ def player_costs(inst: Instance, profile: ActionProfile) -> np.ndarray:
     """
     _check_profile(inst, profile)
     matrix, lengths, rates = profile.matrix, inst.job_lengths, inst.service_rates
-    n, m = matrix.shape
-    # numpy sums the columns of a wider matrix row after row, and the
-    # running sum carried in row 0 of ``buf`` repeats that block by block;
-    # but it sums a single column pairwise, so one server is one block.
-    blocks = list(_blocks(n, 1, m)) if m > 1 else [(0, n)]
-    buf, carried = np.empty((blocks[0][1] + 1, m)), 0
-    for start, stop in blocks:
-        end = carried + stop - start
-        np.multiply(lengths[start:stop, None], matrix[start:stop], out=buf[carried:end])
-        buf[0] = buf[:end].sum(axis=0)
-        carried = 1
-    queued = inst.initial_loads + buf[0]
-    costs = np.empty(n)
-    for start, stop in blocks:
-        work = np.multiply(lengths[start:stop, None], matrix[start:stop], out=buf[: stop - start])
+    queued = inst.initial_loads + _work(lengths, matrix)
+    costs = np.empty(inst.num_players)
+    for start, stop in _blocks(inst.num_players, 1, inst.num_servers):
+        work = lengths[start:stop, None] * matrix[start:stop]
         ahead = queued - work
         ahead /= rates
         costs[start:stop] = _wait(work, ahead, rates)
@@ -332,7 +327,7 @@ def _potential_of(queued: np.ndarray, rates: np.ndarray) -> np.ndarray:
 def _potential_matrix(inst: Instance, matrix: np.ndarray) -> float:
     # Raw-matrix kernel; also used by finite-difference checks that step
     # slightly off the simplex.
-    queued = inst.initial_loads + inst.job_lengths @ matrix
+    queued = inst.initial_loads + _work(inst.job_lengths, matrix)
     return float(_potential_of(queued, inst.service_rates))
 
 
@@ -354,7 +349,7 @@ def normalized_loads(inst: Instance, profile: ActionProfile) -> np.ndarray:
     """Per-server queue length (initial plus scheduled work) divided by its
     drain rate: the time each server needs to clear what it holds."""
     _check_profile(inst, profile)
-    queued = inst.initial_loads + inst.job_lengths @ profile.matrix
+    queued = inst.initial_loads + _work(inst.job_lengths, profile.matrix)
     return queued / inst.service_rates
 
 

@@ -26,6 +26,7 @@ from .model import (
     _nonzero,
     _per_server,
     _potential_of,
+    _work,
     normalized_loads,
     player_costs,
 )
@@ -203,7 +204,7 @@ def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
     # each game's totals for drift at the end. Only lambda and mu are read
     # from ``inst``. Every update reuses the same two buffers.
     lengths, rates = inst.job_lengths, inst.service_rates
-    totals = lengths @ matrix
+    totals = _work(lengths, matrix)
     mine, effective = np.empty_like(totals), np.empty_like(totals)
     for i in order:
         length, row = lengths[i], matrix[..., i, :]
@@ -221,7 +222,7 @@ def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
         fractions -= mine
         totals += fractions
         yield totals
-    fresh = lengths @ matrix
+    fresh = _work(lengths, matrix)
     drift = np.max(np.abs(totals - fresh), axis=-1)
     if not np.all(drift <= 1e-9 * np.max(fresh, axis=-1)):
         raise RuntimeError(f"running server totals drifted by {np.max(drift):.3e} over the pass")
@@ -258,7 +259,7 @@ def _nash(inst: Instance, profile: ActionProfile):
     # ``is_nash``'s check and the player costs it was judged against.
     costs = player_costs(inst, profile)
     levels = normalized_loads(inst, profile)
-    row_heights = profile.matrix @ (levels - levels.min())
+    row_heights = np.einsum("ij,j->i", profile.matrix, levels - levels.min())
     gaps = _finite(inst.job_lengths * row_heights, "equilibrium gap")
     return NashCheck(bool(np.all(gaps <= _NASH_TOLERANCE * costs)), float(gaps.max())), costs
 

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from lbgame import model, static
+from lbgame import builtin_setting, generate_instance, model, static
 from lbgame.cli import main
 
 
@@ -449,21 +450,37 @@ def test_console_entry_point_runs():
 
 
 def test_static_profile_keeps_its_bytes_across_blas_threads(tmp_path):
-    # The pass sums the players' work with BLAS, whose summation order can
-    # follow its thread count. At setting 2's size (500 x 200) the profile
-    # keeps its bytes under 1 and 2 OpenBLAS threads. At 1000 x 500 it does
-    # not, so in general a run repeats byte for byte only at a fixed count.
+    # Every sum of the players' work is numpy's einsum, never BLAS, whose
+    # summation order can follow its thread count. So a run keeps its bytes
+    # under 1 and 2 OpenBLAS threads: at setting 2's size (500 x 200), and
+    # at 1000 x 500 on setting 2's ranges, where a BLAS sum did not.
+    spec = replace(builtin_setting(2).generator, num_players=1000, num_servers=500)
+    inst = generate_instance(spec, 1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": {
+        "mu": inst.service_rates.tolist(),
+        "lambda": inst.job_lengths.tolist(),
+        "s0": inst.initial_loads.tolist(),
+    }}))
     source = str(Path(model.__file__).parents[1])
-    profiles = []
+    runs = {}
     for threads in ("1", "2"):
-        path = tmp_path / f"profile-{threads}.json"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-m", "lbgame", "static", "--setting", "2", "--seed", "1", "--out", path],
-            env=env,
-            capture_output=True,
-            check=True,
-        )
-        profiles.append(path.read_bytes())
-    assert profiles[0] == profiles[1]
+        for name, argv in [
+            ("setting-2", ["static", "--setting", "2", "--seed", "1"]),
+            ("large", ["static", "--config", config]),
+            ("large-poa", ["poa", "--config", config]),
+        ]:
+            # One path for both counts, as stdout names it.
+            path = tmp_path / f"{name}.json"
+            out = ["--out", path] if argv[0] == "static" else []
+            proc = subprocess.run(
+                [sys.executable, "-m", "lbgame", *argv, *out],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            runs[name, threads] = proc.stdout, path.read_bytes() if out else None
+    for name in ("setting-2", "large", "large-poa"):
+        assert runs[name, "1"] == runs[name, "2"], name

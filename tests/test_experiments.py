@@ -376,12 +376,16 @@ class TestTraceExport:
             load_trace_jsonl(broken)
 
     @pytest.mark.parametrize("index", [0, 3])
-    @pytest.mark.parametrize("change", ["no-loads_after", "no-mode", "a-list"])
+    @pytest.mark.parametrize("change", ["no-loads_after", "no-mode", "a-list", "truncated"])
     def test_jsonl_malformed_line_is_refused_by_number(self, index, change, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9)
         lines = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl").read_text().splitlines()
         if change == "a-list":
             lines[index], message = "[1, 2]", "is not a trace step object"
+        elif change == "truncated":
+            # The decoder's own message, without its position in the line.
+            lines[index] = lines[index][: len(lines[index]) // 2]
+            message = r"is not JSON: [A-Z][^:]*"
         else:
             step = json.loads(lines[index])
             del step[change[3:]]
@@ -436,6 +440,12 @@ class TestTraceExport:
         path = tmp_path / "misfiled.txt"
         with pytest.raises(ValueError, match="^a sequential run is filed under 'simultaneous'$"):
             write({"simultaneous": report.sequential}, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [write_trace_csv, write_trace_jsonl], ids=["csv", "jsonl"])
+    def test_no_runs_are_refused_before_a_file_is_made(self, write, tmp_path):
+        with pytest.raises(ValueError, match="^no runs to write$"):
+            write({}, tmp_path / "empty.txt")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("write", [write_trace_csv, write_trace_jsonl], ids=["csv", "jsonl"])

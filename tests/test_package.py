@@ -35,3 +35,23 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exempt = set(lbgame.__all__) if path.name == "__init__.py" else set()
     assert imported - used - exempt == set()
+
+
+# numpy's names for the products it hands to BLAS.
+BLAS_PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def is_blas_product(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) in BLAS_PRODUCTS
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_matrix_product_goes_through_blas(path):
+    # Every sum of work per server goes through ``model._work`` (einsum), so
+    # no output depends on how BLAS orders its sums over its threads.
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if is_blas_product(node)] == []

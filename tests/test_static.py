@@ -512,10 +512,12 @@ class TestBlockPricing:
 
 def former_player_costs(inst, matrix):
     """``player_costs`` as it was written before it priced in place: the
-    wait of each row's work behind ``(s0 + W) - work``."""
+    wait of each row's work behind ``(s0 + W) - work``. W, like every sum
+    over the players, follows the library's one rule: numpy's einsum, which
+    adds the rows one after another."""
     rates = inst.service_rates
     work = inst.job_lengths[:, None] * matrix
-    queued = inst.initial_loads + work.sum(axis=0)
+    queued = inst.initial_loads + np.einsum("i,ij->j", inst.job_lengths, matrix)
     terms = work / (2.0 * rates)
     terms += (queued - work) / rates
     terms *= work
@@ -527,8 +529,8 @@ def former_nash(inst, matrix):
     the whole work matrix times the heights. Returns the verdict, the gaps
     and the former player costs."""
     costs = former_player_costs(inst, matrix)
-    levels = (inst.initial_loads + inst.job_lengths @ matrix) / inst.service_rates
-    gaps = (inst.job_lengths[:, None] * matrix) @ (levels - levels.min())
+    levels = (inst.initial_loads + np.einsum("i,ij->j", inst.job_lengths, matrix)) / inst.service_rates
+    gaps = np.einsum("ij,j->i", inst.job_lengths[:, None] * matrix, levels - levels.min())
     return bool(np.all(gaps <= 1e-8 * costs)), gaps, costs
 
 
@@ -581,10 +583,11 @@ class TestPricingKeepsItsBits:
 
 class TestEveryBlockSizeKeepsTheBits:
     """Pricing a block of players at a time gives the former formulas' bits
-    at any block size. The one exception is the gap, whose former bits came
-    from BLAS, which sums a matrix product in an order that depends on how
-    it groups and threads the rows: the gap stays within rounding of the
-    former one and is the same at every block size."""
+    at any block size. The one exception is the gap, which the former
+    formula took as each row's work times the heights and the check takes
+    as the job length times the row's fractions times the heights: the two
+    round differently, so the gap stays within rounding of the former one
+    and is the same at every block size."""
 
     @staticmethod
     def cases(rng):
