@@ -10,6 +10,7 @@ traces only to files, and every failure is a single line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -326,10 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # The one parser tree of the process: parsing leaves it as it was.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # An overflow fails as one error line, without numpy's warnings:
         # ``_finite`` refuses what it leaves. Ignoring every class, not only
         # overflow and invalid, spares each small ufunc a check of the

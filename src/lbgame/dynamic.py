@@ -20,7 +20,7 @@ import numpy as np
 from .model import Action, InfeasibleError, Instance, ServerLoads, _Record
 from .model import _BLOCK, _blocks, _check_player, _finite, _integer, _nonzero
 from .model import _queues, _rows_on_simplex, _wait
-from .static import _pass, _respond
+from .static import _from_uniform, _respond
 
 ORDER_ROUND_ROBIN = "round-robin"
 ORDER_RANDOM = "random"
@@ -145,13 +145,14 @@ class DynamicRun:
 def _settle(inst: Instance, observed: np.ndarray, arrivals: np.ndarray):
     # Every step's splits and waits from the (T, m) queues each step
     # observed and the (T, k) arrivals: one arrival best-responds to its
-    # queues, and n arrivals settle by one in-turn pass from uniform rows
-    # over all T rounds at once (with one player the two agree). The rest
-    # runs in ``_blocks``.
+    # queues, and n arrivals settle by one in-turn pass from uniform rows,
+    # all T rounds in lockstep, each water-filling only where a server joins
+    # its filled set (with one player the two agree). The rest runs in
+    # ``_blocks``.
     (steps, k), m, rates = arrivals.shape, inst.num_servers, inst.service_rates
     fractions, costs = np.full((steps, k, m), 1.0 / m), np.empty((steps, k))
     if k > 1:
-        for _ in _pass(inst, observed, fractions, range(k)):
+        for _ in _from_uniform(inst, observed, fractions, range(k)):
             pass
     for start, stop in _blocks(steps, k, m):
         block = slice(start, stop)
@@ -264,7 +265,9 @@ def run_simultaneous(run: DynamicRun) -> DynamicRun:
     queues in a single drain step. Every such equilibrium places the
     water-fill of the combined job, so the queues are stepped as one player
     holding all the work; the rounds' splits then come from one pass over
-    the batch of all rounds, each on its observed queues.
+    the batch of all rounds, each on its observed queues, which water-fills
+    a round only where a server joins its filled set: at most m + 1 times,
+    not once per player.
 
     Naive alternatives that react only to the previous round's co-player
     allocations herd onto the same servers and limit-cycle without ever

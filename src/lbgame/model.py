@@ -172,7 +172,7 @@ class ActionProfile(_Record):
     @classmethod
     def uniform(cls, num_players: int, num_servers: int) -> "ActionProfile":
         """The all-1/m starting profile used by the update dynamics."""
-        return cls(np.full((num_players, num_servers), 1.0 / num_servers))
+        return cls._taking(np.full((num_players, num_servers), 1.0 / num_servers))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from .model import (
     Action,
     ActionProfile,
     Instance,
+    _block_steps,
     _blocks,
     _check_player,
     _check_profile,
@@ -137,11 +138,11 @@ def _respond(length, rates: np.ndarray, loads: np.ndarray):
     # finite and nonnegative: one row of m, or a (B, m) batch with one
     # ``length`` or a (B, 1) column of them. Returns ``(fractions, level,
     # support, order)`` batched like ``loads``. One row keeps the 1-D kernel,
-    # which the static pass calls once per update (2,000 times on
-    # ``scaled_equilibrium``): a (1, m) row costs 3.1x as much through
-    # ``_water_fill_rows`` at m=8 and m=50 (45.6 vs 14.8 and 47.5 vs 15.3
-    # us) and 2.0x at m=500 (62.5 vs 31.5 us); medians of 25 interleaved
-    # runs, 2-core Xeon, numpy 2.4, shared host.
+    # which the static pass calls once per fill (361 times on
+    # ``scaled_equilibrium`` at seed 1): a (1, m) row costs 3.1x as much
+    # through ``_water_fill_rows`` at m=8 and m=50 (45.6 vs 14.8 and 47.5 vs
+    # 15.3 us) and 2.0x at m=500 (62.5 vs 31.5 us); medians of 25
+    # interleaved runs, 2-core Xeon, numpy 2.4, shared host.
     fill = _water_fill if loads.ndim == 1 else _water_fill_rows
     amounts, level, support, order = fill(length, rates, loads / rates)
     return amounts / length, level, support, order
@@ -162,52 +163,67 @@ def run_sequential_pass(
     Returns ``(profile, potentials)`` with the potential value recorded
     after each update; the sequence never increases.
 
-    Costs O(n·m log m): one water-fill per update. The pass keeps running
-    per-server totals of the players' work and applies each update to them
-    as a delta. The queues after each update are copied into one reused
-    block of rows, and each full block is priced at once, every row with
-    the bits of a potential summed alone. Drift guard: at the end, the
-    totals are summed afresh from the final profile, and a gap above 1e-9
-    of the largest total raises ``RuntimeError``. A potential that is not
-    finite, because the instance's magnitudes overflow float64, raises
-    ``ValueError``.
+    From uniform rows (the default, or an ``initial`` whose every entry is
+    exactly 1/m) the pass water-fills only on the turns where a server
+    joins the filled set, at most min(n, m + 1) times, and gives every
+    other update its closed-form row: O(min(n, m)·m log m + n·m). From any
+    other start it costs O(n·m log m): one water-fill per update, applied
+    to running per-server totals of the players' work as a delta. Either way,
+    the queues after each update are priced a block of ``_blocks`` rows at
+    a time, every row with the bits of a potential summed alone. Drift
+    guard: at the end, the queues are summed afresh from the final
+    profile, and a gap above 1e-9 of the largest raises ``RuntimeError``.
+    A potential that is not finite, because the instance's magnitudes
+    overflow float64, raises ``ValueError``.
     """
     n, m = inst.num_players, inst.num_servers
-    if initial is None:
-        matrix = np.full((n, m), 1.0 / m)
-    else:
+    if initial is not None:
         _check_profile(inst, initial)
-        matrix = initial.matrix.copy()
     order = list(range(n)) if order is None else [_integer(i, "order entry") for i in order]
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all player indices")
-    loads = inst.initial_loads
+    loads, rates = inst.initial_loads, inst.service_rates
+    potentials = []
+    if initial is None or np.all(initial.matrix == 1.0 / m):
+        matrix = np.full((n, m), 1.0 / m)
+        queued, filled = np.empty((_block_steps(1, m), m)), 0
+        for _, base, slope, _, removed in _from_uniform(inst, loads[None], matrix[None], order):
+            while removed.size:
+                rows = queued[filled : filled + removed.size]
+                np.multiply(slope[0], removed[: len(rows), None], out=rows)
+                rows += base[0]
+                filled, removed = filled + len(rows), removed[len(rows) :]
+                if filled == len(queued):
+                    potentials += _potential_of(queued, rates).tolist()
+                    filled = 0
+        potentials += _potential_of(queued[:filled], rates).tolist()
+        return ActionProfile._taking(matrix), _finite(potentials, "potential")
+    matrix = initial.matrix.copy()
     updates = _pass(inst, loads, matrix, order)
     blocks = list(_blocks(n, 1, m))
-    queued, potentials = np.empty((blocks[0][1], m)), []
+    queued = np.empty((blocks[0][1], m))
     for start, stop in blocks:
         block = queued[: stop - start]
         # ``zip`` stops on the block's end before it asks for another update.
         for row, totals in zip(block, updates):
             np.add(loads, totals, out=row)
-        potentials += _potential_of(block, inst.service_rates).tolist()
+        potentials += _potential_of(block, rates).tolist()
     for _ in updates:  # runs the drift guard
         pass
     return ActionProfile._taking(matrix), _finite(potentials, "potential")
 
 
 def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
-    # In-turn updates of ``matrix`` in place against the queued ``loads``:
-    # an (n, m) profile on m loads, or a (B, n, m) batch of independent
-    # games, one per row of (B, m) loads. Keeps the running per-server
-    # totals of the players' work and yields them after each update; checks
-    # each game's totals for drift at the end. Only lambda and mu are read
-    # from ``inst``. Every update reuses the same two buffers.
+    # In-turn updates of the (n, m) ``matrix`` in place against the m queued
+    # ``loads``, from any start. Keeps the running per-server totals of the
+    # players' work and yields them after each update; checks them for
+    # drift at the end. Only lambda and mu are read from ``inst``. Every
+    # update reuses the same two buffers.
     lengths, rates = inst.job_lengths, inst.service_rates
     totals = _work(lengths, matrix)
     mine, effective = np.empty_like(totals), np.empty_like(totals)
     for i in order:
-        length, row = lengths[i], matrix[..., i, :]
+        length, row = lengths[i], matrix[i]
         np.multiply(length, row, out=mine)
         # ``loads + (totals - mine)``, clamped: cancellation can leave -1e-16
         # where the other players hold nothing, and the water-fill needs
@@ -222,8 +238,85 @@ def _pass(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
         fractions -= mine
         totals += fractions
         yield totals
-    fresh = _work(lengths, matrix)
-    drift = np.max(np.abs(totals - fresh), axis=-1)
+    _check_drift(totals, _work(lengths, matrix))
+
+
+def _from_uniform(inst: Instance, loads: np.ndarray, matrix: np.ndarray, order):
+    # In-turn updates from uniform rows of a (B, n, m) batch of games in
+    # place, one game per row of the (B, m) queued ``loads``. After a
+    # water-fill, the servers it fills (the pool) share one level L, and a
+    # player whose row is still uniform, 1/m of its job on every server,
+    # best-responds with the same row, (1 + alpha*mu_j)/m on the pool with
+    # alpha = (m - |pool|)/mu(pool), until a server outside drops to the
+    # pool's level. As the uniform work D since the fill leaves, the pool's
+    # queues are mu_j*L + mu_j*alpha*D and every other one is q_j - D, so
+    # server j joins once D passes theta_j = (q_j - mu_j*L)/(1 + alpha*mu_j):
+    # one ``searchsorted`` on the cumulative shares finds that turn, which
+    # water-fills afresh. The pool only grows, so a game fills at most
+    # m + 1 times. The games go in lockstep, one fill per game each time,
+    # and every decision is made on the game's own row, so a game has the
+    # bits it has alone. Yields ``(games, base, slope, span, removed)``
+    # after each fill of the games still playing: for ``games[k]``, the
+    # queues after the fill's turn and each of the ``span[k]`` - 1 turns
+    # before its next fill are ``base[k] + slope[k] * D``, with D its next
+    # ``span[k]`` values of ``removed``, game after game. Checks each game's
+    # final queues for drift at the end.
+    lengths, rates = inst.job_lengths, inst.service_rates
+    count, n, m = matrix.shape
+    players = np.asarray(order)
+    shares = lengths[players] / m
+    cum = np.concatenate(([0.0], shares.cumsum()))
+    games, turn = np.arange(count), np.zeros(count, dtype=int)
+    queued, final = loads + cum[-1], np.empty_like(loads)
+    while games.size:
+        i, first = players[turn], turn + 1
+        effective = queued - shares[turn, None]
+        np.maximum(effective, 0.0, out=effective)
+        if games.size == 1:  # the 1-D kernel costs half as much on one row
+            fill = [np.asarray(x)[None] for x in _respond(lengths[i[0]], rates, effective[0])]
+        else:
+            fill = _respond(lengths[i, None], rates, effective)
+        fractions, level, support, ranked = fill
+        pool = np.zeros(effective.shape, dtype=bool)
+        pool[np.arange(games.size)[:, None], ranked] = np.arange(m) < support[:, None]
+        alpha = ((m - support) / np.where(pool, rates, 0.0).sum(-1))[:, None]
+        rise, lifted = alpha * rates, rates * level[:, None]
+        grow = 1.0 + rise
+        theta = (effective - lifted) / grow
+        theta[pool] = np.inf
+        start = cum[first]
+        # Where rounding leaves a join undecided, the next fill decides it.
+        stop = np.searchsorted(cum, start + theta.min(-1), "right") - 1
+        stop = np.minimum(np.maximum(stop, first), n)
+        rows = np.where(pool, grow / m, 0.0)
+        base, slope = np.where(pool, lifted, effective), np.where(pool, rise, -1.0)
+        # Each game's turns from its fill to the next take its row; one game
+        # takes them as one slice, a batch as (owner, turn) pairs.
+        span = stop - turn
+        if games.size == 1:
+            matrix[games[0], players[turn[0] : stop[0]]] = rows[0]
+            removed = cum[turn[0] + 1 : stop[0] + 1] - start[0]
+        else:
+            owner = np.repeat(np.arange(games.size), span)
+            at = np.arange(owner.size) + np.repeat(turn - (span.cumsum() - span), span)
+            for a, b in _blocks(owner.size, 1, m):
+                matrix[games[owner[a:b]], players[at[a:b]]] = rows[owner[a:b]]
+            removed = cum[at + 1] - start[owner]
+        matrix[games, i] = fractions
+        yield games, base, slope, span, removed
+        queued = base + slope * (cum[stop] - start)[:, None]
+        done = stop == n
+        if done.any():
+            final[games[done]] = queued[done]
+            games, stop, queued = games[~done], stop[~done], queued[~done]
+        turn = stop
+    _check_drift(final, loads + _work(lengths, matrix))
+
+
+def _check_drift(kept: np.ndarray, fresh: np.ndarray) -> None:
+    # The drift guard: each game's (row's) kept per-server sums within 1e-9
+    # of its largest sum afresh.
+    drift = np.max(np.abs(kept - fresh), axis=-1)
     if not np.all(drift <= 1e-9 * np.max(fresh, axis=-1)):
         raise RuntimeError(f"running server totals drifted by {np.max(drift):.3e} over the pass")
 

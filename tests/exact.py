@@ -49,6 +49,31 @@ ROW = 1
 # 2*eps*Lambda per update and 5n/2*eps*Lambda per server after n of them.
 POTENTIAL = 4
 TOTALS = 3
+# POOLED: the pass from uniform rows (static._from_uniform) keeps each
+# queue in closed form from the last water-fill, base + slope*D with D the
+# uniform work removed since, so rounding relative to the queue itself
+# enters once per fill instead of once per update. Counting eps*q_j per
+# rounding, a fill sees its queues off by the closed form's product and sum
+# (2) and the slope alpha*mu_j (alpha = (m - |pool|)/mu(pool): m - 1 for
+# the sum of at most m rates, one for the division, one for the product with
+# mu_j: m + 1), removes the player's share (1) and sets the pool to mu_j
+# times the level (the level's last addition and the product: 2). That is
+# m + POOLED roundings per fill, with POOLED = 6, and every later queue
+# inherits them through the level. D itself is a difference of two
+# cumulative sums of at most n shares of at most Lambda/m, off by
+# 2n*eps*Lambda/m, which the slope alpha*mu_j < m carries to at most
+# 2n*eps*Lambda. So after F fills:
+# - a potential is within ((POTENTIAL + 2*(m + POOLED)*F)*P
+#   + TOTALS*n*Lambda*S)*eps: (m + POOLED)*F*eps*q_j on each queue moves P
+#   by sum (q_j/mu_j)*(m + POOLED)*F*eps*q_j = 2*(m + POOLED)*F*eps*P, and
+#   2n*eps*Lambda per server lies inside the TOTALS term;
+# - a row is within ((m + POOLED)*F + 2n + SPLIT)*kappa*eps: a fill passes
+#   its queues' error, at most ((m + POOLED)*F + 2n)*eps*Q, on to a split
+#   divided by lambda_i, plus its own SPLIT. A row between fills is
+#   (1 + alpha*mu_j)/m, whose exact value does not depend on the queues:
+#   off by alpha's m + 1 roundings and three more, (m + 4)*eps, inside the
+#   same bound since F >= 1.
+POOLED = 6
 # OPT: opt_lower_bound is within 16*kappa*eps of exact, relative, with
 # kappa taken for the combined job. The same flat-optimum argument as COST.
 OPT = 16

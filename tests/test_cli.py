@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lbgame import builtin_setting, generate_instance, model, static
+from lbgame import builtin_setting, cli, generate_instance, model, static
 from lbgame.cli import main
 
 
@@ -437,6 +437,24 @@ class TestErrorSurface:
         assert code == 1
         reason = "the instance's magnitudes underflow float64"
         assert err == f"lbgame: error: {divisor} is 0: {reason}\n"
+
+
+def test_two_main_calls_build_one_parser_tree(monkeypatch, capsys):
+    # The tree is built on the first call and kept: a parse leaves it as it
+    # was, so a refused flag does not change the next call's output.
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._parser.cache_clear()
+    first = run_cli(capsys, "dynamic", "--setting", "5", "--max-steps", "0")
+    assert first[0] == 2
+    assert run_cli(capsys, "dynamic", "--setting", "5", "--max-steps", "0") == first
+    assert built.count("lbgame") == 1
 
 
 def test_console_entry_point_runs():

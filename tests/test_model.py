@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,19 @@ class TestActionTypes:
         profile = ActionProfile.uniform(3, 4)
         assert profile.matrix.shape == (3, 4)
         assert np.allclose(profile.matrix, 0.25)
+
+    def test_uniform_profile_keeps_the_matrix_it_builds(self):
+        # Checked but not copied: at 2000 x 500, a copy would peak at twice
+        # the 8 MB matrix.
+        tracemalloc.start()
+        try:
+            profile = ActionProfile.uniform(2000, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * profile.matrix.nbytes
+        assert not profile.matrix.flags.writeable
+        assert profile == ActionProfile(np.full((2000, 500), 1.0 / 500))
 
     def test_server_loads_nonnegative(self):
         ServerLoads([0.0, 1.5])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lbgame import (
     Action,
     ActionProfile,
+    DynamicRun,
     Instance,
     ServerLoads,
     best_response,
@@ -25,12 +26,13 @@ from lbgame import (
     poa_upper_bound,
     potential,
     run_sequential_pass,
+    run_simultaneous,
     setting_instance,
     social_cost,
 )
-from lbgame import model
+from lbgame import model, static
 from lbgame.model import _blocks, _potential_matrix, _potential_of
-from lbgame.static import _pass, _water_fill, _water_fill_rows
+from lbgame.static import _from_uniform, _pass, _water_fill, _water_fill_rows
 
 import exact as ex
 from conftest import random_instance, random_profile
@@ -339,6 +341,85 @@ def test_pass_matches_exact_pass(case):
         assert abs(Fraction(value) - exact_value) <= bound * ex.EPS
 
 
+def uniform_fills(inst, order):
+    """How many water-fills the pass from uniform rows makes: one per
+    yield of ``_from_uniform`` for a game alone."""
+    n, m = inst.num_players, inst.num_servers
+    matrix = np.full((1, n, m), 1.0 / m)
+    return sum(1 for _ in _from_uniform(inst, inst.initial_loads[None], matrix, order))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pass_case())
+def test_pass_from_uniform_rows_matches_exact_pass(case):
+    # ``exact.POOLED`` derives both bounds, in terms of the fills F.
+    inst, _, order = case
+    profile, potentials = run_sequential_pass(inst, order=order)
+    lengths, rates, loads = ex.of(inst)
+    n, m = inst.num_players, inst.num_servers
+    matrix, queues = ex.run_pass(lengths, rates, loads, [[Fraction(1, m)] * m] * n, order)
+    largest_queue = max(loads) + sum(lengths)
+    per_fill = (m + ex.POOLED) * uniform_fills(inst, order)
+    for row, exact_row, length in zip(profile.matrix, matrix, lengths):
+        bound = (per_fill + 2 * n + ex.SPLIT) * ex.kappa(largest_queue, length) * ex.EPS
+        assert ex.gap(row, exact_row) <= bound
+    for value, queue in zip(potentials, queues):
+        exact_value = ex.potential(queue, rates)
+        slope = sum(q / r for q, r in zip(queue, rates))
+        bound = (ex.POTENTIAL + 2 * per_fill) * exact_value + ex.TOTALS * n * sum(lengths) * slope
+        assert abs(Fraction(value) - exact_value) <= bound * ex.EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(pass_case())
+def test_pass_from_uniform_rows_matches_the_incremental_pass(case):
+    # The default start against ``_pass`` from the same uniform rows, within
+    # the tolerance of ``test_incremental_pass_matches_reference``.
+    inst, _, order = case
+    n, m = inst.num_players, inst.num_servers
+    profile, potentials = run_sequential_pass(inst, order=order)
+    matrix = np.full((n, m), 1.0 / m)
+    loads, rates = inst.initial_loads, inst.service_rates
+    expected = [_potential_of(loads + totals, rates) for totals in _pass(inst, loads, matrix, order)]
+    largest_queue = inst.initial_loads.max() + inst.total_job_length
+    tolerance = 1e-12 * np.maximum(1.0, largest_queue / inst.job_lengths)
+    assert np.all(np.abs(profile.matrix - matrix) <= tolerance[:, None])
+    assert np.allclose(potentials, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 36])
+def test_pass_from_uniform_rows_fills_once_per_join(seed, monkeypatch):
+    # Every fill after the first adds a server to the pool, so a game fills
+    # at most min(n, m + 1) times: the static pass of each catalog setting
+    # (and at seed 1 the 2000 x 500 one), and each round of a simultaneous
+    # run. Counts every row either kernel fills.
+    filled = []
+
+    def counting(kernel):
+        def fill(total, rates, levels):
+            filled.append(levels.size // rates.size)
+            return kernel(total, rates, levels)
+
+        return fill
+
+    monkeypatch.setattr(static, "_water_fill", counting(_water_fill))
+    monkeypatch.setattr(static, "_water_fill_rows", counting(_water_fill_rows))
+    specs = [builtin_setting(sid) for sid in range(1, 8)]
+    cases = [(setting_instance(spec, seed), spec.modes) for spec in specs]
+    if seed == 1:
+        spec = replace(builtin_setting(2).generator, num_players=2000, num_servers=500)
+        cases.append((generate_instance(spec, seed), ("static",)))
+    for inst, modes in cases:
+        most = min(inst.num_players, inst.num_servers + 1)
+        filled.clear()
+        run_sequential_pass(inst)
+        assert 1 <= sum(filled) <= most
+        if "simultaneous" in modes:
+            filled.clear()
+            rounds = len(run_simultaneous(DynamicRun(inst, "simultaneous")).trace)
+            assert rounds <= sum(filled) <= rounds * most
+
+
 @settings(max_examples=100, deadline=None)
 @given(pass_case())
 def test_exact_pass_lands_on_the_water_fill(case):
@@ -409,7 +490,7 @@ def test_row_wise_water_fill_is_the_water_fill_on_every_row(case):
 @st.composite
 def batched_games(draw):
     """Up to 5 one-shot games that share up to 8 players and 8 servers but
-    not their queues (some empty) or their start profiles."""
+    not their queues (some empty)."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, 8))
     b = draw(st.integers(1, 5))
@@ -417,24 +498,29 @@ def batched_games(draw):
     lengths = draw(st.lists(st.floats(1e-8, 1e2), min_size=n, max_size=n))
     backlog = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
     steps = np.array(draw(st.lists(st.lists(backlog, min_size=m, max_size=m), min_size=b, max_size=b)))
-    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=b * n * m, max_size=b * n * m)))
-    weights = weights.reshape(b, n, m)
-    start = weights / weights.sum(axis=-1, keepdims=True)
-    return Instance(lengths, rates), steps * rates, start, draw(st.permutations(range(n)))
+    return Instance(lengths, rates), steps * rates, draw(st.permutations(range(n)))
 
 
 @settings(deadline=None)
 @given(batched_games())
 def test_batched_pass_is_each_game_passed_alone(case):
-    inst, loads, start, order = case
-    matrix = start.copy()
-    totals = [t.copy() for t in _pass(inst, loads, matrix, order)]
-    for b in range(len(loads)):
-        alone = start[b].copy()
-        alone_totals = [t.copy() for t in _pass(inst, loads[b], alone, order)]
-        assert matrix[b].tobytes() == alone.tobytes()
-        for batch_step, alone_step in zip(totals, alone_totals):
-            assert batch_step[b].tobytes() == alone_step.tobytes()
+    # The pass from uniform rows, on a batch and on each game alone: the
+    # same profile and the same closed-form queues after every fill, byte
+    # for byte.
+    inst, loads, order = case
+    b, n, m = len(loads), inst.num_players, inst.num_servers
+    matrix = np.full((b, n, m), 1.0 / m)
+    batched = [[] for _ in range(b)]
+    for games, base, slope, span, removed in _from_uniform(inst, loads, matrix, order):
+        removals = np.split(removed, span.cumsum()[:-1])
+        for k, g in enumerate(games):
+            batched[g].append((base[k].tobytes(), slope[k].tobytes(), removals[k].tobytes()))
+    for g in range(b):
+        alone = np.full((1, n, m), 1.0 / m)
+        segments = _from_uniform(inst, loads[g : g + 1], alone, order)
+        want = [(x.tobytes(), y.tobytes(), z.tobytes()) for _, x, y, _, z in segments]
+        assert batched[g] == want
+        assert matrix[g].tobytes() == alone[0].tobytes()
 
 
 class TestRawKernels:
@@ -472,18 +558,36 @@ class TestRawKernels:
                 totals[0] += 1e-3
 
     def test_drift_guard_checks_every_game_of_a_batch(self):
+        # Player 0's row, written by the first fill, moves by 1e-3 on server
+        # 0 in one game: the queues kept for that game no longer match its
+        # profile by exactly that much work.
         inst = Instance([1.0, 2.0], [1.5, 2.5])
         loads = np.array([[2.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-        matrix = np.full((3, 2, 2), 0.5)
-        with pytest.raises(RuntimeError, match="drifted"):
-            for totals in _pass(inst, loads, matrix, [0, 1]):
-                totals[2, 0] += 1e-3
+        for _ in _from_uniform(inst, loads, np.full((3, 2, 2), 0.5), [0, 1]):
+            pass
+        for game in range(3):
+            matrix, moved = np.full((3, 2, 2), 0.5), False
+            with pytest.raises(RuntimeError, match="^running server totals drifted by 1.000e-03 "):
+                for games, *_ in _from_uniform(inst, loads, matrix, [0, 1]):
+                    if game in games and not moved:
+                        matrix[game, 0, 0] += 1e-3
+                        moved = True
 
 
 def replayed_potentials(inst, matrix, order):
     """The pass replayed with one ``_potential_of`` per update: the pricing
-    that the block pricing must reproduce bit for bit."""
+    that the block pricing must reproduce bit for bit. Like
+    ``run_sequential_pass``, it takes the closed-form queues of
+    ``_from_uniform`` from uniform rows and the running totals of ``_pass``
+    from any other start."""
     loads, rates = inst.initial_loads, inst.service_rates
+    if np.all(matrix == 1.0 / inst.num_servers):
+        segments = _from_uniform(inst, loads[None], matrix[None], order)
+        return [
+            _potential_of(base[0] + slope[0] * removed, rates)
+            for _, base, slope, _, removals in segments
+            for removed in removals
+        ]
     return [_potential_of(loads + totals, rates) for totals in _pass(inst, loads, matrix, order)]
 
 
@@ -498,10 +602,13 @@ class TestBlockPricing:
         assert potentials == replayed_potentials(inst, np.full((5, m), 1.0 / m), order)
 
     @settings(deadline=None)
-    @given(pass_case(), st.integers(1, 13))
-    def test_every_block_size_prices_each_update_alone(self, case, rows):
-        # ``rows`` updates per block; 13 puts all of at most 12 in one.
+    @given(pass_case(), st.integers(1, 13), st.booleans())
+    def test_every_block_size_prices_each_update_alone(self, case, rows, uniform):
+        # ``rows`` updates per block; 13 puts all of at most 12 in one. From
+        # uniform rows, a block also takes updates of several fills.
         inst, start, order = case
+        if uniform:
+            start = ActionProfile.uniform(inst.num_players, inst.num_servers)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_BLOCK", rows * inst.num_servers)
             profile, potentials = run_sequential_pass(inst, initial=start, order=order)
