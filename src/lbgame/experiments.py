@@ -9,6 +9,7 @@ setting parameters, seed, and code version is written alongside each trace.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -25,7 +26,7 @@ from .dynamic import (
     run_sequential,
     run_simultaneous,
 )
-from .model import ActionProfile, Instance, _block_steps, _blocks, _integer
+from .model import ActionProfile, Instance, _blocks, _integer
 from .static import is_nash, run_sequential_pass
 
 MODE_STATIC = "static"
@@ -307,12 +308,15 @@ def _rows(values: np.ndarray, sep: str = ",") -> list[str]:
 
 def _filed(runs: dict[str, DynamicRun]) -> dict[str, DynamicRun]:
     # The runs a writer takes: at least one, a key labels the rows its run's
-    # mode shapes, and every run has one server count, the width of every row.
+    # mode shapes, every run was played, so it has steps, and every run has
+    # one server count, the width of every row.
     if not runs:
         raise ValueError("no runs to write")
     for mode, run in runs.items():
         if mode != run.mode:
             raise ValueError(f"a {run.mode} run is filed under {mode!r}")
+        if not len(run.trace):
+            raise ValueError(f"the {mode} run has no steps: it was never played")
     widths = sorted({run.inst.num_servers for run in runs.values()})
     if len(widths) > 1:
         raise ValueError(f"runs on {widths[0]} and {widths[1]} servers cannot share one trace")
@@ -358,7 +362,6 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
     """One JSON object per step, mirroring the step records losslessly.
     Written a block of steps at a time. Each run is filed under its mode."""
     path, runs = Path(path), _filed(runs)
-    written = False
     with path.open("w") as out:
         for mode, run in runs.items():
             trace, name = run.trace, json.dumps(mode)
@@ -393,31 +396,19 @@ def write_trace_jsonl(runs: dict[str, DynamicRun], path) -> Path:
                     f'"total_load": {total}}}\n'
                     for t, arrivals, action, before, after, costs, total in cells
                 )
-                written = True
-        if not written:
-            # A trace with no steps has always been written as one empty line.
-            out.write("\n")
     return path
 
 
-# The keys of a JSON-lines step that fill the ``Trace`` columns, in order,
-# after the mode's start row of loads, and the type each column holds.
-_KEYS = ("arrivals", "actions", "loads_after", "instantaneous_costs")
-_KINDS = (int, float, float, float)
-
-
 def load_trace_jsonl(path) -> dict[str, Trace]:
-    """Read back a JSON-lines trace as one :class:`Trace` per mode. Raises
-    ``ValueError`` where a line's ``loads_before`` is not the previous
-    line's ``loads_after``: the steps of a mode must chain. A line that is
-    not JSON, not a step object, or lacks one of its fields, raises
-    ``ValueError`` naming the line.
-
-    Reads up to a block of steps of one mode at a time (``_blocks`` sizes)
-    and keeps each block's columns as arrays."""
-    grouped: dict[str, tuple[list, ...]] = {}
+    """Read back a JSON-lines trace as one :class:`Trace` per mode, whose
+    columns view one flat typed array each, filled as the lines are read.
+    Raises ``ValueError`` naming the line where a line is not JSON, not a
+    step object, or lacks a field; and naming the step where its
+    ``loads_before`` is not the last ``loads_after`` of its mode, or it is
+    not its mode's first step's k arrivals on m servers, or it holds a
+    value of the wrong type, such as an arrival that is not an integer."""
+    modes: dict[str, tuple] = {}  # each mode's k, m, row lengths and columns
     ends: dict[str, list] = {}  # each mode's last loads_after, as read
-    mode, block, size = None, (), 0
     with Path(path).open() as lines:
         for number, line in enumerate(lines, 1):
             if not line.strip():
@@ -425,50 +416,44 @@ def load_trace_jsonl(path) -> dict[str, Trace]:
             try:
                 obj = json.loads(line)
                 name, before, t = obj["mode"], obj["loads_before"], obj["t"]
-                values = [obj[key] for key in _KEYS]
-                opens = name not in ends
+                arrivals, actions = obj["arrivals"], obj["actions"]
+                after, costs = obj["loads_after"], obj["instantaneous_costs"]
+                end = ends.setdefault(name, before)  # a mode's first line starts its chain
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {number} is not JSON: {exc.msg}") from None
             except KeyError as missing:
                 raise ValueError(f"line {number} has no {missing} field") from None
             except TypeError:
                 raise ValueError(f"line {number} is not a trace step object") from None
-            if opens:
-                # A mode's first line starts its chain and its loads column.
-                ends[name] = before
-                grouped[name] = ([], [], [np.array([before], float)], [])
-            if before != ends[name]:
+            if before != end:
                 raise ValueError(f"{name} step {t} does not start where the last ended")
-            ends[name] = obj["loads_after"]
-            if not block or name != mode or len(block[0]) == size:
-                if block:
-                    _file_block(grouped[mode], block)
-                mode, block, size = name, tuple([] for _ in _KEYS), _block_size(obj)
-            for column, value in zip(block, values):
-                column.append(value)
-    if block:
-        _file_block(grouped[mode], block)
-    del block  # its values are in the columns now, and its lists can go
+            if not (isinstance(actions, list) and isinstance(before, list) and actions and before):
+                raise ValueError(f"{name} step {t} has no actions or no loads")
+            ends[name] = after
+            try:
+                if name not in modes:
+                    k, m = len(actions), len(before)
+                    columns = array("q"), array("d"), array("d", before), array("d")
+                    modes[name] = k, m, [k, m, k] + [m] * k, columns
+                k, m, widths, (arrived, fractions, loads, priced) = modes[name]
+                # The lengths of arrivals, loads_after, costs and each row of
+                # actions, which a list of k rows of m values gives.
+                if [len(arrivals), len(after), len(costs), *map(len, actions)] != widths:
+                    raise ValueError(f"{name} step {t} is not k={k} arrivals on m={m} servers")
+                arrived.fromlist(arrivals)
+                for row in actions:
+                    fractions.fromlist(row)
+                loads.fromlist(after)
+                priced.fromlist(costs)
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"{name} step {t} has a value of the wrong type: {exc}") from None
     return {
-        mode: Trace(*(np.concatenate(blocks) for blocks in columns))
-        for mode, columns in grouped.items()
+        name: Trace(*(
+            np.frombuffer(column, column.typecode).reshape(-1, *shape)
+            for column, shape in zip(columns, ((k,), (k, m), (m,), (k,)))
+        ))
+        for name, (k, m, _, columns) in modes.items()
     }
-
-
-def _block_size(obj: dict) -> int:
-    # The ``_blocks`` size of the block a JSON-lines step opens: steps of its
-    # k actions on m servers, neither of them none.
-    actions, loads = obj["actions"], obj["loads_before"]
-    if not (isinstance(actions, list) and isinstance(loads, list) and actions and loads):
-        raise ValueError(f"{obj['mode']} step {obj['t']} has no actions or no loads")
-    return _block_steps(len(actions), len(loads))
-
-
-def _file_block(columns: tuple[list, ...], block: tuple[list, ...]) -> None:
-    # Appends a block of steps, read as lists by ``_KEYS``, to a mode's
-    # ``Trace`` columns as one array each.
-    for column, values, kind in zip(columns, block, _KINDS):
-        column.append(np.array(values, kind))
 
 
 def _manifest_payload(report: ExperimentReport) -> dict:

@@ -172,7 +172,8 @@ class ActionProfile(_Record):
     @classmethod
     def uniform(cls, num_players: int, num_servers: int) -> "ActionProfile":
         """The all-1/m starting profile used by the update dynamics."""
-        return cls._taking(np.full((num_players, num_servers), 1.0 / num_servers))
+        n, m = _integer(num_players, "num_players", 1), _integer(num_servers, "num_servers", 1)
+        return cls._taking(np.full((n, m), 1.0 / m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +193,7 @@ class ServerLoads(_Record):
 def _block_steps(k: int, m: int) -> int:
     # The one block rule: a block of steps of k arrivals on m servers holds
     # about ``_BLOCK`` fraction values, and at least one step. It bounds
-    # pricing temporaries and the trace writers' and reader's memory.
+    # pricing temporaries and the trace writers' memory.
     return max(1, _BLOCK // (k * m))
 
 

@@ -502,3 +502,36 @@ def test_static_profile_keeps_its_bytes_across_blas_threads(tmp_path):
             runs[name, threads] = proc.stdout, path.read_bytes() if out else None
     for name in ("setting-2", "large", "large-poa"):
         assert runs[name, "1"] == runs[name, "2"], name
+
+
+def test_outputs_keep_their_bytes_across_simd_dispatch_levels(tmp_path):
+    # numpy picks each kernel's SIMD target at import, the highest of its
+    # dispatch targets the host has. A run with every target from some level
+    # up turned off, down to the baseline alone, writes a seeded catalog
+    # trace and a static profile byte for byte as the default run does.
+    umath = pytest.importorskip(
+        "numpy._core._multiarray_umath", reason="numpy 1.x names its dispatch targets elsewhere"
+    )
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("this host runs none of numpy's dispatch targets, so none can be turned off")
+    source = str(Path(model.__file__).resolve().parents[1])
+    outputs = {}
+    for level in range(len(targets) + 1):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[level:])}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        for name, argv in [
+            ("settings", ["run", "3", "--seed", "1", "--out", ".", "--format", "jsonl"]),
+            ("static", ["--setting", "2", "--seed", "1", "--out", "profile.json"]),
+        ]:
+            # One directory per command for every level, as stdout names it.
+            out = tmp_path / name
+            out.mkdir(exist_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "lbgame", name, *argv],
+                cwd=out, env=env, capture_output=True, check=True,
+            )
+            files = sorted((path.name, path.read_bytes()) for path in out.iterdir())
+            outputs[level, name] = proc.stdout, files
+    for level, command in outputs:
+        assert outputs[level, command] == outputs[len(targets), command], (targets[level:], command)

@@ -363,8 +363,8 @@ class TestTraceExport:
         ],
     )
     def test_jsonl_step_without_actions_or_loads_is_refused(self, t, key, value, tmp_path):
-        # Step 0 starts the chain, and step 2,048 a block, whose size such a
-        # step cannot give.
+        # Step 0 starts the chain and gives the widths, and step 2,048 opens
+        # one of the writer's blocks: each step is checked where it stands.
         runs = ODD_TRACES["partial-block"]()
         lines = write_trace_jsonl(runs, tmp_path / "trace.jsonl").read_text().splitlines()
         step = json.loads(lines[t])
@@ -394,6 +394,41 @@ class TestTraceExport:
         broken.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^line {index + 1} {message}$"):
             load_trace_jsonl(broken)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["float-arrival", "string-cost", "ragged-action-row", "short-last-loads_after",
+         "costs-too-long"],
+    )
+    def test_jsonl_step_of_another_shape_or_type_is_refused_by_step(self, change, tmp_path):
+        # A fractional arrival was once truncated, and the others failed with
+        # numpy's own message, which names no line. The simultaneous steps,
+        # of 4 arrivals on 4 servers, come last.
+        report = run_experiment(builtin_setting(5), seed=9)
+        lines = write_trace_jsonl(report.runs, tmp_path / "trace.jsonl").read_text().splitlines()
+        index = -1 if change == "short-last-loads_after" else -3
+        step = json.loads(lines[index])
+        assert step["mode"] == "simultaneous"
+        message = "is not k=4 arrivals on m=4 servers"
+        if change == "float-arrival":
+            step["arrivals"][1] = 1.5
+            message = "has a value of the wrong type: .*integer"
+        elif change == "string-cost":
+            step["instantaneous_costs"][2] = "0.5"
+            message = "has a value of the wrong type: .*str"
+        elif change == "ragged-action-row":
+            step["actions"][1] = step["actions"][1][:-1]
+        elif change == "short-last-loads_after":
+            step["loads_after"] = step["loads_after"][:-1]
+        else:
+            step["instantaneous_costs"].append(0.5)
+        lines[index] = json.dumps(step)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        message = f"^simultaneous step {step['t']} {message}$"
+        with pytest.raises(ValueError, match=message) as refused:
+            load_trace_jsonl(broken)
+        assert "\n" not in str(refused.value)
 
     def test_csv_values_round_trip_exactly(self, tmp_path):
         report = run_experiment(builtin_setting(5), seed=9)
@@ -446,6 +481,27 @@ class TestTraceExport:
     def test_no_runs_are_refused_before_a_file_is_made(self, write, tmp_path):
         with pytest.raises(ValueError, match="^no runs to write$"):
             write({}, tmp_path / "empty.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "case, mode", [("no-steps", "sequential"), ("unrun-and-run", "simultaneous")]
+    )
+    @pytest.mark.parametrize(
+        "write",
+        [
+            write_trace_csv,
+            write_trace_jsonl,
+            lambda runs, path: export_trace(
+                ExperimentReport("custom", 0, builtin_setting(1).instance, **runs), path
+            ),
+        ],
+        ids=["csv", "jsonl", "export_trace"],
+    )
+    def test_unplayed_run_is_refused_before_a_file_is_made(self, write, case, mode, tmp_path):
+        # A run that was never played holds no steps: JSON-lines once wrote
+        # it as a blank line, which read back as no trace at all.
+        with pytest.raises(ValueError, match=f"^the {mode} run has no steps: it was never played$"):
+            write(UNPLAYED[case](), tmp_path / "unplayed.txt")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("write", [write_trace_csv, write_trace_jsonl], ids=["csv", "jsonl"])
@@ -512,9 +568,13 @@ ODD_TRACES = {
     # 4,101 steps: two full blocks of 2,048 and a partial one.
     "partial-block": lambda: {"sequential": _never_drains(2 * (_BLOCK // 8) + 5)},
     "one-step-per-block": _one_step_per_block,
+    "overflowed-total": _overflowed_total,
+}
+
+# Runs the writers refuse, as they hold a run with no steps.
+UNPLAYED = {
     "unrun-and-run": _with_unrun,
     "no-steps": lambda: {"sequential": DynamicRun(builtin_setting(1).instance)},
-    "overflowed-total": _overflowed_total,
 }
 
 
@@ -539,7 +599,7 @@ class TestExportOracle:
             self.same_text(jsonl, reference_jsonl(runs))
             records = reference_records(runs)
         lines = jsonl.splitlines()
-        assert len(lines) == max(1, len(records))
+        assert len(lines) == len(records)
         for line, record in zip(lines, records):
             assert json.loads(line) == record
 
@@ -558,7 +618,7 @@ WRITERS = {"csv": write_trace_csv, "jsonl": write_trace_jsonl}
 
 def _long_drain():
     # The benchmark's long drain: 15,616 sequential steps on 8 servers, in
-    # eight blocks of the writers and the reader.
+    # eight blocks of the writers.
     spec = GeneratorSpec(64, 8, (1.0, 2.0), (0.5, 1.5), (1e4, 2e4))
     inst = generate_instance(spec, 7)
     return {"sequential": run_sequential(DynamicRun(inst, "sequential", seed=1))}

@@ -124,6 +124,23 @@ class TestActionTypes:
         assert profile.matrix.shape == (3, 4)
         assert np.allclose(profile.matrix, 0.25)
 
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [
+            ((2, 0), "num_servers"),
+            ((0, 3), "num_players"),
+            ((True, 3), "num_players"),
+            ((2, 3.0), "num_servers"),
+            ((2.5, 3), "num_players"),
+        ],
+        ids=["no-servers", "no-players", "bool", "float-servers", "float-players"],
+    )
+    def test_uniform_profile_refuses_a_size_that_is_no_positive_integer(self, sizes, name):
+        # Where a zero server count divided by zero, a zero player count gave
+        # an empty profile and a bool or float size reached numpy.
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+            ActionProfile.uniform(*sizes)
+
     def test_uniform_profile_keeps_the_matrix_it_builds(self):
         # Checked but not copied: at 2000 x 500, a copy would peak at twice
         # the 8 MB matrix.
